@@ -221,6 +221,20 @@ step "streaming suite under COLCOM_CHECK=1 and a chaos seed"
 COLCOM_CHAOS_SEED=7 COLCOM_CHECK=1 timeout "$BUDGET" \
   "$BUILD_DIR/tests/test_stream"
 
+# The benchmark harness checks every job against serial_reduce over the
+# generator and checks virtual-time repeatability, so a byte-synthesis or
+# runtime change that alters results fails here. One short run per workload.
+for w in paper_scale many_ranks tenants; do
+  step "perfbench smoke ($w)"
+  PERF_LAST="$(timeout "$BUDGET" python3 perfbench/run.py --workload "$w" \
+    --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  echo "$PERF_LAST"
+  if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
+    echo "perfbench smoke failed ($w)" >&2
+    exit 1
+  fi
+done
+
 if [[ $SANITIZE -eq 1 ]]; then
   configure_asan
   step "sanitizer build (-Werror + ASan/UBSan)"

@@ -8,6 +8,20 @@
 
 namespace colcom::des {
 
+namespace {
+
+// priority_queue::top() is const, but the queue's comparator reads only
+// time and seq, which a move leaves intact: move the event (and its
+// callback) out instead of copying it, then pop.
+template <typename Queue>
+typename Queue::value_type take_top(Queue& q) {
+  auto ev = std::move(const_cast<typename Queue::value_type&>(q.top()));
+  q.pop();
+  return ev;
+}
+
+}  // namespace
+
 Engine::Engine() = default;
 
 Engine::~Engine() {
@@ -104,9 +118,7 @@ void Engine::run() {
 }
 
 Engine::Event Engine::pop_next_event() {
-  // priority_queue::top() is const; events are copied out before pop.
-  Event ev = queue_.top();
-  queue_.pop();
+  Event ev = take_top(queue_);
   ScheduleController* sc = ScheduleController::current();
   if (sc == nullptr) return ev;
   // Collect every event runnable within the tie window and let the
@@ -116,8 +128,7 @@ Engine::Event Engine::pop_next_event() {
   std::vector<Event> ties;
   ties.push_back(std::move(ev));
   while (!queue_.empty() && queue_.top().time <= window_end) {
-    ties.push_back(queue_.top());
-    queue_.pop();
+    ties.push_back(take_top(queue_));
   }
   std::size_t chosen = 0;
   if (ties.size() > 1) {

@@ -149,7 +149,7 @@ DatasetBuilder::DatasetBuilder(pfs::Pfs& fs, std::string filename)
 DatasetBuilder& DatasetBuilder::add_var(const std::string& name,
                                         mpi::Prim prim,
                                         std::vector<std::uint64_t> dims) {
-  COLCOM_EXPECT(!dims.empty() && dims.size() <= 8);
+  COLCOM_EXPECT(!dims.empty() && dims.size() <= pfs::kMaxDims);
   PendingVar pv;
   pv.info.name = name;
   pv.info.prim = prim;
@@ -161,7 +161,7 @@ DatasetBuilder& DatasetBuilder::add_var(const std::string& name,
 DatasetBuilder& DatasetBuilder::add_generated_impl(
     const std::string& name, mpi::Prim prim, std::vector<std::uint64_t> dims,
     std::unique_ptr<pfs::Store> store) {
-  COLCOM_EXPECT(!dims.empty() && dims.size() <= 8);
+  COLCOM_EXPECT(!dims.empty() && dims.size() <= pfs::kMaxDims);
   PendingVar pv;
   pv.info.name = name;
   pv.info.prim = prim;

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -71,27 +70,14 @@ class DatasetBuilder {
   DatasetBuilder& add_var(const std::string& name, mpi::Prim prim,
                           std::vector<std::uint64_t> dims);
 
-  /// Read-only variable whose element at `coords` is fn(coords). The
-  /// function must be pure (it is evaluated on demand, possibly repeatedly).
-  template <typename T>
-  DatasetBuilder& add_generated_var(
-      const std::string& name, std::vector<std::uint64_t> dims,
-      std::function<T(std::span<const std::uint64_t> coords)> fn) {
-    COLCOM_EXPECT(fn != nullptr && !dims.empty());
-    std::uint64_t count = 1;
-    for (auto d : dims) count *= d;
-    auto gen = [dims, fn = std::move(fn)](std::uint64_t idx) -> T {
-      std::uint64_t rem = idx;
-      // Fixed-size coordinate buffer: datasets here are at most 8-D.
-      std::uint64_t coords[8];
-      COLCOM_EXPECT(dims.size() <= 8);
-      for (std::size_t d = dims.size(); d-- > 0;) {
-        coords[d] = rem % dims[d];
-        rem /= dims[d];
-      }
-      return fn(std::span<const std::uint64_t>(coords, dims.size()));
-    };
-    auto store = pfs::make_element_generator<T>(count, std::move(gen));
+  /// Read-only variable whose element at `coords` is fn(coords), for any
+  /// callable taking std::span<const std::uint64_t>. The function must be
+  /// pure: a read evaluates it once per touched element, in C order
+  /// (pfs::fill_elements), and later reads evaluate it again.
+  template <typename T, typename Fn>
+  DatasetBuilder& add_generated_var(const std::string& name,
+                                    std::vector<std::uint64_t> dims, Fn fn) {
+    auto store = pfs::make_array_generator<T>(dims, std::move(fn));
     return add_generated_impl(name, prim_of<T>(), std::move(dims),
                               std::move(store));
   }

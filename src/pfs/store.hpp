@@ -7,6 +7,8 @@
 // written extents over a generator (used for dataset headers).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -89,31 +92,92 @@ class GeneratorStore final : public Store {
   FillFn fill_;
 };
 
-/// A GeneratorStore over typed elements: element i has value fn(i).
-/// Elements must be trivially copyable.
-template <typename T>
-std::unique_ptr<GeneratorStore> make_element_generator(
-    std::uint64_t element_count, std::function<T(std::uint64_t)> fn) {
+/// Datasets here are at most this many dimensions.
+inline constexpr std::size_t kMaxDims = 8;
+
+/// Writes bytes [offset, offset + dst.size()) of the C-order array of shape
+/// `dims` whose element at coordinates c is fn(c). `fn` is evaluated exactly
+/// once per touched element, in C order. The first element's coordinates
+/// are decoded once; whole elements go straight into `dst` a row (innermost
+/// dimension) at a time, and the outer coordinates carry like an odometer.
+/// Only a ragged head or tail element goes through a temporary. `Fn` is a
+/// template parameter so the element function inlines into the row loop.
+template <typename T, typename Fn>
+void fill_elements(std::span<const std::uint64_t> dims, const Fn& fn,
+                   std::uint64_t offset, std::span<std::byte> dst) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const std::uint64_t bytes = element_count * sizeof(T);
-  auto fill = [fn = std::move(fn)](std::uint64_t offset,
-                                   std::span<std::byte> dst) {
-    // Reads may start/stop mid-element; synthesize whole elements and copy
-    // the overlapping slice.
-    std::uint64_t pos = 0;
-    while (pos < dst.size()) {
-      const std::uint64_t abs = offset + pos;
-      const std::uint64_t idx = abs / sizeof(T);
-      const std::uint64_t within = abs % sizeof(T);
-      const T value = fn(idx);
-      const auto* vb = reinterpret_cast<const std::byte*>(&value);
-      const std::uint64_t n =
-          std::min<std::uint64_t>(sizeof(T) - within, dst.size() - pos);
-      std::memcpy(dst.data() + pos, vb + within, n);
-      pos += n;
+  constexpr std::uint64_t kSize = sizeof(T);
+  COLCOM_EXPECT(!dims.empty() && dims.size() <= kMaxDims);
+  if (dst.empty()) return;
+  const std::size_t last = dims.size() - 1;
+  std::array<std::uint64_t, kMaxDims> c{};
+  const std::span<const std::uint64_t> coords(c.data(), dims.size());
+  std::uint64_t rem = offset / kSize;
+  for (std::size_t d = dims.size(); d-- > 0;) {
+    c[d] = rem % dims[d];
+    rem /= dims[d];
+  }
+  // After the innermost coordinate runs off its row, carry outward.
+  const auto carry = [&] {
+    for (std::size_t d = last; d > 0 && c[d] == dims[d]; --d) {
+      c[d] = 0;
+      ++c[d - 1];
     }
   };
-  return std::make_unique<GeneratorStore>(bytes, std::move(fill));
+  const auto partial = [&](std::byte* out, std::uint64_t skip,
+                           std::uint64_t n) {
+    const T v = fn(coords);
+    std::memcpy(out, reinterpret_cast<const std::byte*>(&v) + skip, n);
+  };
+
+  std::byte* out = dst.data();
+  std::uint64_t left = dst.size();
+  const std::uint64_t skip = offset % kSize;
+  if (skip != 0 || left < kSize) {
+    const std::uint64_t n = std::min(kSize - skip, left);
+    partial(out, skip, n);
+    out += n;
+    left -= n;
+    ++c[last];
+    carry();
+  }
+  while (left >= kSize) {
+    const std::uint64_t run = std::min(left / kSize, dims[last] - c[last]);
+    for (std::uint64_t i = 0; i < run; ++i, ++c[last], out += kSize) {
+      const T v = fn(coords);
+      std::memcpy(out, &v, kSize);
+    }
+    left -= run * kSize;
+    carry();
+  }
+  if (left > 0) partial(out, 0, left);
+}
+
+/// A GeneratorStore over the C-order array of shape `dims` (at most
+/// kMaxDims dimensions) whose element at coordinates c is fn(c), for any
+/// callable taking std::span<const std::uint64_t>. Elements must be
+/// trivially copyable; `fn` must be pure.
+template <typename T, typename Fn>
+std::unique_ptr<GeneratorStore> make_array_generator(
+    std::vector<std::uint64_t> dims, Fn fn) {
+  std::uint64_t count = 1;
+  for (auto d : dims) count *= d;
+  auto fill = [dims = std::move(dims), fn = std::move(fn)](
+                  std::uint64_t offset, std::span<std::byte> dst) {
+    fill_elements<T>(dims, fn, offset, dst);
+  };
+  return std::make_unique<GeneratorStore>(count * sizeof(T), std::move(fill));
+}
+
+/// The 1-D case: element i has value fn(i).
+template <typename T, typename Fn>
+std::unique_ptr<GeneratorStore> make_element_generator(
+    std::uint64_t element_count, Fn fn) {
+  return make_array_generator<T>(
+      {element_count},
+      [fn = std::move(fn)](std::span<const std::uint64_t> c) -> T {
+        return fn(c[0]);
+      });
 }
 
 /// Written extents shadow a read-only base store — gives generator-backed

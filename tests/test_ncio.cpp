@@ -2,7 +2,9 @@
 // flattening, typed collective/independent reads, generated variables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "mpi/runtime.hpp"
@@ -83,6 +85,88 @@ TEST(Dataset, GeneratedVarEvaluatesClosedForm) {
   fs.store(ds.file()).read(ds.info(v).file_offset + (3 * 16 + 7) * 4,
                            std::as_writable_bytes(std::span<float>(&val, 1)));
   EXPECT_FLOAT_EQ(val, 307.f);
+}
+
+/// Elements of a variable at [base, base + bytes) that [off, off + len)
+/// touches, for element size `s`.
+std::uint64_t touched_elements(std::uint64_t off, std::uint64_t len,
+                               std::uint64_t base, std::uint64_t bytes,
+                               std::uint64_t s) {
+  const std::uint64_t lo = std::max(off, base);
+  const std::uint64_t hi = std::min(off + len, base + bytes);
+  if (lo >= hi) return 0;
+  return (hi - base + s - 1) / s - (lo - base) / s;
+}
+
+TEST(Dataset, GeneratedVarsReadAcrossAlignmentGaps) {
+  // Raw file reads cross both generated variables and the zero-filled
+  // alignment gap between them; each element function runs once per
+  // touched element.
+  des::Engine e;
+  pfs::Pfs fs(e, pfs::PfsConfig{});
+  const auto a_of = [](std::span<const std::uint64_t> c) {
+    return static_cast<std::int32_t>(c[0] * 1000 + c[1] * 10 + c[2]) - 500;
+  };
+  const auto b_of = [](std::span<const std::uint64_t> c) {
+    return static_cast<double>(c[0]) * 0.25 - static_cast<double>(c[1]);
+  };
+  std::uint64_t calls_a = 0, calls_b = 0;
+  auto ds = DatasetBuilder(fs, "gaps.nc")
+                .add_generated_var<std::int32_t>(
+                    "a", {3, 5, 7},
+                    [&](std::span<const std::uint64_t> c) {
+                      ++calls_a;
+                      return a_of(c);
+                    })
+                .add_generated_var<double>(
+                    "b", {9, 11},
+                    [&](std::span<const std::uint64_t> c) {
+                      ++calls_b;
+                      return b_of(c);
+                    })
+                .finish();
+  const VarInfo& ia = ds.info(ds.var("a"));
+  const VarInfo& ib = ds.info(ds.var("b"));
+  const std::uint64_t lo = ia.file_offset;
+  const std::uint64_t hi = ib.file_offset + ib.byte_size();
+  ASSERT_LT(ia.file_offset + ia.byte_size(), ib.file_offset);  // a real gap
+
+  std::vector<std::byte> ref(hi - lo, std::byte{0});
+  for (std::uint64_t i = 0; i < 3 * 5 * 7; ++i) {
+    const std::array<std::uint64_t, 3> c{i / 35, i / 7 % 5, i % 7};
+    const std::int32_t v = a_of(c);
+    std::memcpy(ref.data() + i * 4, &v, 4);
+  }
+  for (std::uint64_t i = 0; i < 9 * 11; ++i) {
+    const std::array<std::uint64_t, 2> c{i / 11, i % 11};
+    const double v = b_of(c);
+    std::memcpy(ref.data() + (ib.file_offset - lo) + i * 8, &v, 8);
+  }
+
+  const pfs::Store& store = fs.store(ds.file());
+  const auto check = [&](std::uint64_t off, std::uint64_t len) {
+    SCOPED_TRACE(::testing::Message() << "window [" << off << ", "
+                                      << off + len << ")");
+    std::vector<std::byte> got(len, std::byte{0xee});
+    calls_a = calls_b = 0;
+    store.read(off, got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), ref.begin() + (off - lo)));
+    EXPECT_EQ(calls_a, touched_elements(off, len, ia.file_offset,
+                                        ia.byte_size(), 4));
+    EXPECT_EQ(calls_b, touched_elements(off, len, ib.file_offset,
+                                        ib.byte_size(), 8));
+  };
+  check(lo, hi - lo);
+  // Misaligned tail of a, the whole gap, misaligned head of b.
+  const std::uint64_t a_end = ia.file_offset + ia.byte_size();
+  check(a_end - 6, ib.file_offset - (a_end - 6) + 13);
+  check(a_end - 1, 2);                   // last byte of a, into the gap
+  check(ib.file_offset - 3, 5);          // gap into b's first element
+  Prng rng(11);
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t off = lo + rng.next_below(hi - lo);
+    check(off, rng.next_below(hi - off + 1));
+  }
 }
 
 TEST(Dataset, PutThenGetVaraAll) {

@@ -1,6 +1,7 @@
 // Unit tests for stores and the striped parallel file system.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -51,6 +52,124 @@ TEST(GeneratorStore, HandlesMisalignedByteReads) {
   std::vector<std::uint8_t> full(12);
   g->read(0, as_bytes(full));
   EXPECT_EQ(0, std::memcmp(partial.data(), full.data() + 2, 8));
+}
+
+// ---- fill_elements: the bulk generator loop against a closed form.
+
+/// Distinct per coordinate tuple and touches every byte of wide types.
+template <typename T>
+T closed_form(std::span<const std::uint64_t> c) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint64_t x : c) h = (h ^ (x + 1)) * 0x100000001b3ull;
+  if constexpr (std::is_floating_point_v<T>) {
+    return static_cast<T>(static_cast<double>(h >> 16) / 7.0);
+  } else {
+    return static_cast<T>(h);
+  }
+}
+
+/// The whole array's bytes, each element decoded from its flat index on
+/// its own (no odometer).
+template <typename T>
+std::vector<std::byte> reference_bytes(const std::vector<std::uint64_t>& dims) {
+  std::uint64_t count = 1;
+  for (auto d : dims) count *= d;
+  std::vector<std::byte> out(count * sizeof(T));
+  std::vector<std::uint64_t> c(dims.size());
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t rem = i;
+    for (std::size_t d = dims.size(); d-- > 0;) {
+      c[d] = rem % dims[d];
+      rem /= dims[d];
+    }
+    const T v = closed_form<T>(c);
+    std::memcpy(out.data() + i * sizeof(T), &v, sizeof(T));
+  }
+  return out;
+}
+
+/// A generator over `dims` that counts element-function calls.
+template <typename T>
+struct CountingGenerator {
+  explicit CountingGenerator(const std::vector<std::uint64_t>& dims)
+      : ref(reference_bytes<T>(dims)),
+        store(make_array_generator<T>(
+            dims, [calls = &calls](std::span<const std::uint64_t> c) {
+              ++*calls;
+              return closed_form<T>(c);
+            })) {}
+
+  /// Reads [off, off + len) and checks bytes and the evaluation count.
+  void check(std::uint64_t off, std::uint64_t len) {
+    SCOPED_TRACE(::testing::Message() << "window [" << off << ", "
+                                      << off + len << ") of " << ref.size());
+    std::vector<std::byte> got(len, std::byte{0xee});
+    calls = 0;
+    store->read(off, got);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin() + off));
+    const std::uint64_t touched =
+        len == 0 ? 0 : (off + len + sizeof(T) - 1) / sizeof(T) - off / sizeof(T);
+    EXPECT_EQ(calls, touched);
+  }
+
+  std::uint64_t calls = 0;
+  std::vector<std::byte> ref;
+  std::unique_ptr<GeneratorStore> store;
+};
+
+template <typename T>
+class FillElements : public ::testing::Test {};
+using FillPrims =
+    ::testing::Types<std::uint8_t, std::int32_t, std::int64_t, float, double>;
+TYPED_TEST_SUITE(FillElements, FillPrims);
+
+const std::vector<std::vector<std::uint64_t>>& fill_shapes() {
+  static const std::vector<std::vector<std::uint64_t>> shapes{
+      {37}, {3, 5, 7}, {5, 4, 1}, {2, 1, 3, 2, 2, 1, 2, 3}};
+  return shapes;
+}
+
+TYPED_TEST(FillElements, RandomWindowsMatchClosedForm) {
+  Prng rng(20150901);
+  for (const auto& dims : fill_shapes()) {
+    CountingGenerator<TypeParam> g(dims);
+    const std::uint64_t size = g.ref.size();
+    ASSERT_EQ(g.store->size(), size);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t off = rng.next_below(size + 1);
+      g.check(off, rng.next_below(size - off + 1));
+    }
+  }
+}
+
+TYPED_TEST(FillElements, EdgeWindowsMatchClosedForm) {
+  constexpr std::uint64_t S = sizeof(TypeParam);
+  constexpr std::uint64_t mis = S > 1 ? 1 : 0;  // misalignment, when possible
+  for (const auto& dims : fill_shapes()) {
+    CountingGenerator<TypeParam> g(dims);
+    const std::uint64_t size = g.ref.size();
+    const std::uint64_t row = dims.back();
+    const std::uint64_t plane = dims.size() > 1 ? row * dims[dims.size() - 2]
+                                                : row;
+    g.check(0, size);                       // whole variable
+    g.check(0, 0);                          // empty
+    g.check(size, 0);                       // empty, at the end
+    g.check(3 * S + mis, 10 * S);           // misaligned head and tail
+    g.check(3 * S + mis, S - mis);          // ragged head only
+    g.check(4 * S, S + (S > 1 ? S / 2 : 0));  // ragged tail only
+    if (S >= 3) g.check(4 * S + 1, S - 2);  // strictly inside one element
+    g.check(4 * S, S);                      // exactly one element
+    // Across a row carry and a plane carry, starting mid-element (1-D
+    // shapes have neither; the window is cut at the end).
+    const auto across = [&](std::uint64_t off, std::uint64_t len) {
+      g.check(off, std::min(len, size - off));
+    };
+    across((row - 1) * S + mis, 2 * S);
+    across((plane - 1) * S + mis, 3 * S);
+    g.check(size - S, S);                   // the variable's last element
+    g.check(size - 1, 1);                   // its last byte
+    g.check(size - 2 * S - mis, 2 * S + mis);  // ends on the last byte
+  }
 }
 
 TEST(GeneratorStore, WriteIsRejected) {
