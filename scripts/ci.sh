@@ -2,7 +2,8 @@
 # CI driver: project lint -> configure -> build -> clang-tidy gate (hard
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict), then an
-# optional -Werror + ASan/UBSan pass over the trace/prof tests, a budgeted
+# optional -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests, a
+# budgeted
 # CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
 # fault suites under the sanitizers with several seeds — also under the
 # correctness checker.
@@ -54,8 +55,9 @@ done
 
 step() { echo; echo "=== $* ==="; }
 
-# The DES runs ranks on ucontext fibers; ASan's fake-stack bookkeeping
-# cannot follow swapcontext, so fake stacks must stay off here.
+# The DES runs ranks on fibers that switch stacks with _longjmp; ASan's
+# fake-stack bookkeeping cannot follow those switches, so fake stacks must
+# stay off here.
 sanitizer_env() {
   export ASAN_OPTIONS="detect_stack_use_after_return=0:abort_on_error=1"
   export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -238,10 +240,16 @@ done
 if [[ $SANITIZE -eq 1 ]]; then
   configure_asan
   step "sanitizer build (-Werror + ASan/UBSan)"
-  cmake --build "$BUILD_DIR-asan" -j "$(nproc)" --target test_trace test_prof
+  cmake --build "$BUILD_DIR-asan" -j "$(nproc)" \
+    --target test_des test_mpi_comm test_trace test_prof
 
-  step "sanitizer run (trace + prof tests)"
+  # test_des switches a thousand fibers and unwinds one while others stay
+  # suspended; test_mpi_comm drives the matcher against its reference model
+  # and reduces misaligned payload operands (fatal UBSan).
+  step "sanitizer run (des + mpi + trace + prof tests)"
   sanitizer_env
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_des"
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_mpi_comm"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_trace"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_prof"
 

@@ -1,4 +1,12 @@
+// Fortified builds redirect _longjmp to __longjmp_chk, which aborts on a jump
+// to a lower stack address unless it is on a sigaltstack — every switch onto
+// a fiber stack would trip it. Switching stacks is this file's job.
+#undef _FORTIFY_SOURCE
+
 #include "des/fiber.hpp"
+
+#include <setjmp.h>
+#include <ucontext.h>
 
 #include "util/assert.hpp"
 
@@ -45,13 +53,13 @@ Fiber* Fiber::current_ = nullptr;
 // makecontext() can only pass int arguments portably, so the target fiber is
 // handed to the trampoline through this static slot. The engine is
 // single-threaded, which makes this safe: the slot is written immediately
-// before the one swapcontext() that consumes it.
+// before the one setcontext() that consumes it.
 namespace {
 Fiber* g_trampoline_target = nullptr;
 }
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body)
-    : stack_(std::make_unique<std::byte[]>(stack_bytes)),
+    : stack_(std::make_unique_for_overwrite<std::byte[]>(stack_bytes)),
       stack_bytes_(stack_bytes),
       body_(std::move(body)) {
   COLCOM_EXPECT(stack_bytes >= 16 * 1024);
@@ -72,32 +80,33 @@ void Fiber::trampoline() {
     self->exception_ = std::current_exception();
   }
   self->finished_ = true;
-  // Fall back to the scheduler; uc_link returns there, but swap explicitly so
-  // `current_` is maintained. save=nullptr: this fiber's fake stack can be
-  // destroyed, the context never runs again.
+  // Back to the scheduler for good. save=nullptr: this fiber's fake stack
+  // can be destroyed, the context never runs again.
   current_ = nullptr;
   asan_start_switch(nullptr, self->sched_stack_bottom_,
                     self->sched_stack_size_);
-  swapcontext(&self->ctx_, &self->return_ctx_);
+  _longjmp(self->return_ctx_, 1);
 }
 
 void Fiber::resume() {
   COLCOM_EXPECT_MSG(current_ == nullptr,
                     "resume() must be called from the scheduler context");
   COLCOM_EXPECT_MSG(!finished_, "cannot resume a finished fiber");
-  if (!started_) {
-    started_ = true;
-    getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.get();
-    ctx_.uc_stack.ss_size = stack_bytes_;
-    ctx_.uc_link = &return_ctx_;
-    makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
-    g_trampoline_target = this;
-  }
   current_ = this;
   void* fake = nullptr;
   asan_start_switch(&fake, stack_.get(), stack_bytes_);
-  swapcontext(&return_ctx_, &ctx_);
+  if (_setjmp(return_ctx_) == 0) {
+    if (started_) _longjmp(ctx_, 1);
+    started_ = true;
+    ucontext_t entry;
+    getcontext(&entry);
+    entry.uc_stack.ss_sp = stack_.get();
+    entry.uc_stack.ss_size = stack_bytes_;
+    entry.uc_link = nullptr;  // trampoline never returns
+    makecontext(&entry, &Fiber::trampoline, 0);
+    g_trampoline_target = this;
+    setcontext(&entry);
+  }
   asan_finish_switch(fake, nullptr, nullptr);
   current_ = nullptr;
 }
@@ -107,7 +116,7 @@ void Fiber::yield() {
   current_ = nullptr;
   void* fake = nullptr;
   asan_start_switch(&fake, sched_stack_bottom_, sched_stack_size_);
-  swapcontext(&ctx_, &return_ctx_);
+  if (_setjmp(ctx_) == 0) _longjmp(return_ctx_, 1);
   asan_finish_switch(fake, nullptr, nullptr);
   current_ = this;
 }

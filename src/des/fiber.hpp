@@ -1,13 +1,20 @@
-// Cooperative user-level fibers (ucontext-based) for DES actors.
+// Cooperative user-level fibers for DES actors.
 //
 // The engine is strictly single-threaded: exactly one fiber (or the main
 // scheduler context) runs at any instant, and control transfers only at
 // explicit resume/yield points. That makes every data structure in the
 // simulation race-free by construction (CP.2) without any locking.
+//
+// Switches use _setjmp/_longjmp, which save and restore only the
+// callee-saved registers, stack pointer and return address — no system call
+// (swapcontext issues an rt_sigprocmask on every switch). makecontext runs
+// once per fiber, for its first entry onto its fresh stack. Neither the
+// signal mask nor the floating-point environment (MXCSR, x87 control word)
+// is switched: all fibers share one floating-point environment, and nothing
+// in the simulator changes it.
 #pragma once
 
-#include <ucontext.h>
-
+#include <csetjmp>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -15,11 +22,13 @@
 
 namespace colcom::des {
 
-/// A single cooperative fiber. Not copyable/movable: the ucontext captures
-/// the object address.
+/// A single cooperative fiber. Not copyable/movable: the saved contexts
+/// capture the object address.
 class Fiber {
  public:
   /// `body` runs on the fiber's own stack when resume() is first called.
+  /// The stack is allocated uninitialized, so pages the fiber never touches
+  /// are never written or committed.
   Fiber(std::size_t stack_bytes, std::function<void()> body);
   ~Fiber();
 
@@ -45,8 +54,8 @@ class Fiber {
  private:
   static void trampoline();
 
-  ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
+  std::jmp_buf ctx_{};         // the fiber, saved at its last yield()
+  std::jmp_buf return_ctx_{};  // the scheduler, saved at the last resume()
   std::unique_ptr<std::byte[]> stack_;
   std::size_t stack_bytes_;
   std::function<void()> body_;
@@ -55,7 +64,7 @@ class Fiber {
   std::exception_ptr exception_;
   // Scheduler-context stack bounds as reported by ASan at first entry —
   // handed back to __sanitizer_start_switch_fiber when yielding, so ASan
-  // tracks which stack is live across swapcontext (unused without ASan).
+  // tracks which stack is live across each switch (unused without ASan).
   const void* sched_stack_bottom_ = nullptr;
   std::size_t sched_stack_size_ = 0;
 

@@ -90,18 +90,89 @@ void World::kill_rank(int rank) {
 
 void World::deliver(int dst, std::shared_ptr<Msg> msg) {
   PairChannel& ch = chan(msg->src, dst);
-  if (msg->seq < ch.next_deliver_seq || ch.holdback.count(msg->seq) != 0) {
-    return;  // duplicate copy from a retransmission that raced its ack
-  }
-  ch.holdback.emplace(msg->seq, std::move(msg));
   // Release in send order (MPI non-overtaking even if the network reorders).
-  while (!ch.holdback.empty() &&
-         ch.holdback.begin()->first == ch.next_deliver_seq) {
-    auto released = std::move(ch.holdback.begin()->second);
-    ch.holdback.erase(ch.holdback.begin());
-    ++ch.next_deliver_seq;
-    match_or_enqueue(dst, std::move(released));
+  ch.release_in_order(std::move(msg), [this, dst, &ch](std::shared_ptr<Msg> m) {
+    des::note_access(des::mailbox_key(dst));
+    if (auto pr = match_arrival(dst, ch, m)) {
+      complete_match(dst, std::move(m), std::move(pr));
+    }
+  });
+}
+
+namespace {
+
+// Removes and returns the queue entry at `it`.
+template <typename T>
+std::shared_ptr<T> take(std::vector<std::shared_ptr<T>>& q,
+                        typename std::vector<std::shared_ptr<T>>::iterator it) {
+  std::shared_ptr<T> out = std::move(*it);
+  q.erase(it);
+  return out;
+}
+
+}  // namespace
+
+std::shared_ptr<PostedRecv> World::match_arrival(int dst, PairChannel& ch,
+                                                 std::shared_ptr<Msg>& msg) {
+  Mailbox& mb = mailbox[static_cast<std::size_t>(dst)];
+  const auto wants = [tag = msg->tag](const std::shared_ptr<PostedRecv>& pr) {
+    return pr->tag == kAnyTag || pr->tag == tag;
+  };
+  const auto named = std::find_if(ch.posted.begin(), ch.posted.end(), wants);
+  const auto wild =
+      std::find_if(mb.any_source.begin(), mb.any_source.end(), wants);
+  // The earliest-posted match wins, whichever queue holds it.
+  if (named != ch.posted.end() &&
+      (wild == mb.any_source.end() || (*named)->stamp < (*wild)->stamp)) {
+    return take(ch.posted, named);
   }
+  if (wild != mb.any_source.end()) return take(mb.any_source, wild);
+  msg->stamp = mb.next_stamp++;
+  ch.unexpected.push_back(std::move(msg));
+  return nullptr;
+}
+
+std::shared_ptr<Msg> World::match_post(int dst,
+                                       std::shared_ptr<PostedRecv>& pr) {
+  Mailbox& mb = mailbox[static_cast<std::size_t>(dst)];
+  const auto wanted = [tag = pr->tag](const std::shared_ptr<Msg>& m) {
+    return tag == kAnyTag || m->tag == tag;
+  };
+  if (pr->src != kAnySource) {
+    PairChannel& ch = chan(pr->src, dst);
+    const auto it =
+        std::find_if(ch.unexpected.begin(), ch.unexpected.end(), wanted);
+    if (it != ch.unexpected.end()) return take(ch.unexpected, it);
+    pr->stamp = mb.next_stamp++;
+    ch.posted.push_back(std::move(pr));
+    return nullptr;
+  }
+  // Wildcard source: the earliest arrival across every peer's pair queue.
+  std::vector<std::shared_ptr<Msg>>* best_q = nullptr;
+  std::vector<std::shared_ptr<Msg>>::iterator best;
+  for (int src = 0; src < nprocs; ++src) {
+    const auto c = chans.find(pair_key(src, dst));
+    if (c == chans.end()) continue;
+    auto& q = c->second.unexpected;
+    const auto it = std::find_if(q.begin(), q.end(), wanted);
+    if (it != q.end() && (best_q == nullptr || (*it)->stamp < (*best)->stamp)) {
+      best_q = &q;
+      best = it;
+    }
+  }
+  if (best_q != nullptr) return take(*best_q, best);
+  pr->stamp = mb.next_stamp++;
+  mb.any_source.push_back(std::move(pr));
+  return nullptr;
+}
+
+void World::cancel_post(int dst, const PostedRecv& pr) {
+  auto& q = pr.src == kAnySource
+                ? mailbox[static_cast<std::size_t>(dst)].any_source
+                : chan(pr.src, dst).posted;
+  const auto it = std::find_if(
+      q.begin(), q.end(), [&pr](const auto& p) { return p.get() == &pr; });
+  if (it != q.end()) q.erase(it);
 }
 
 namespace {
@@ -299,19 +370,6 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
   });
 }
 
-void World::match_or_enqueue(int dst, std::shared_ptr<Msg> msg) {
-  des::note_access(des::mailbox_key(dst));
-  Mailbox& mb = mailbox[static_cast<std::size_t>(dst)];
-  for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-    if (!matches((*it)->src, (*it)->tag, *msg)) continue;
-    auto pr = std::move(*it);
-    mb.posted.erase(it);
-    complete_match(dst, std::move(msg), std::move(pr));
-    return;
-  }
-  mb.unexpected.push_back(std::move(msg));
-}
-
 // ---------------------------------------------------------------- Comm p2p
 
 int Comm::size() const { return world_->nprocs; }
@@ -455,7 +513,6 @@ void Comm::send(int dst, int tag, std::span<const std::byte> data) {
 Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
   COLCOM_EXPECT(src == kAnySource || (src >= 0 && src < size()));
   des::note_access(des::mailbox_key(rank_));
-  Mailbox& mb = world_->mailbox[static_cast<std::size_t>(rank_)];
   Request req;
   req.state_ = std::make_shared<Request::State>();
   if (check::Checker::current() != nullptr) {
@@ -467,25 +524,6 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
     op.tag_any = tag == kAnyTag;
   }
 
-  // Unexpected-queue scan first (earliest arrival wins).
-  for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
-    if (!World::matches(src, tag, **it)) continue;
-    auto msg = std::move(*it);
-    mb.unexpected.erase(it);
-    auto pr = std::make_shared<PostedRecv>();
-    pr->src = src;
-    pr->tag = tag;
-    pr->dst = dst;
-    pr->cs = std::make_unique<des::CompletionSource>(engine());
-    req.state_->completion = pr->cs->completion();
-    req.state_->recv = pr.get();
-    req.state_->recv_own = pr;
-    // Eager payloads complete immediately; rendezvous ones only now start
-    // their CTS + payload transfer.
-    world_->complete_match(rank_, std::move(msg), std::move(pr));
-    return req;
-  }
-
   auto pr = std::make_shared<PostedRecv>();
   pr->src = src;
   pr->tag = tag;
@@ -494,7 +532,12 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
   req.state_->completion = pr->cs->completion();
   req.state_->recv = pr.get();
   req.state_->recv_own = pr;
-  mb.posted.push_back(std::move(pr));
+  // The earliest matching arrival wins. Eager payloads complete
+  // immediately; rendezvous ones only now start their CTS + payload
+  // transfer. Without a match the receive pends.
+  if (auto msg = world_->match_post(rank_, pr)) {
+    world_->complete_match(rank_, std::move(msg), std::move(pr));
+  }
   return req;
 }
 
@@ -543,13 +586,7 @@ MsgInfo Comm::recv_ft(int src, int tag, std::span<std::byte> dst) {
       if (pr->matched) return;
       if (w->dead[static_cast<std::size_t>(src)] != 0) {
         if (*suspected) {
-          Mailbox& mb = w->mailbox[static_cast<std::size_t>(me)];
-          for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-            if (it->get() == pr.get()) {
-              mb.posted.erase(it);
-              break;
-            }
-          }
+          w->cancel_post(me, *pr);
           pr->dead_peer = true;
           pr->matched = true;
           pr->info = MsgInfo{src, 0, 0};

@@ -1,7 +1,9 @@
 #include "mpi/op.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "util/assert.hpp"
@@ -10,11 +12,21 @@ namespace colcom::mpi {
 
 namespace {
 
+// Operands may sit at any offset inside a message payload, so elements are
+// loaded and stored through memcpy, which compiles to the same moves as a
+// typed access without assuming alignment.
 template <typename T, typename F>
 void combine(const void* in, void* inout, std::size_t count, F f) {
-  const T* a = static_cast<const T*>(in);
-  T* b = static_cast<T*>(inout);
-  for (std::size_t i = 0; i < count; ++i) b[i] = f(a[i], b[i]);
+  const auto* a = static_cast<const std::byte*>(in);
+  auto* b = static_cast<std::byte*>(inout);
+  for (std::size_t i = 0; i < count; ++i) {
+    T x;
+    T y;
+    std::memcpy(&x, a + i * sizeof(T), sizeof(T));
+    std::memcpy(&y, b + i * sizeof(T), sizeof(T));
+    const T r = f(x, y);
+    std::memcpy(b + i * sizeof(T), &r, sizeof(T));
+  }
 }
 
 template <typename F>
@@ -31,7 +43,7 @@ void dispatch(const void* in, void* inout, std::size_t count, Prim p, F f) {
 
 template <typename T>
 void store(void* out, T v) {
-  *static_cast<T*>(out) = v;
+  std::memcpy(out, &v, sizeof(T));
 }
 
 void identity_sum(void* out, Prim p) {

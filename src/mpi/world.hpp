@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -32,6 +31,7 @@ struct Msg {
   int src = -1;
   int tag = 0;
   std::uint64_t seq = 0;
+  std::uint64_t stamp = 0;  ///< arrival order in the receiver's mailbox
   std::vector<std::byte> payload;
   /// Large messages use a rendezvous protocol: only a request-to-send
   /// travels eagerly; the payload moves after the receive is matched
@@ -51,6 +51,7 @@ struct Msg {
 struct PostedRecv {
   int src = kAnySource;
   int tag = kAnyTag;
+  std::uint64_t stamp = 0;  ///< post order in the receiver's mailbox
   std::span<std::byte> dst;
   bool matched = false;
   bool failed = false;  ///< matched a poisoned message; wait() throws
@@ -59,15 +60,49 @@ struct PostedRecv {
   std::unique_ptr<des::CompletionSource> cs;
 };
 
+/// One (src, dst) pair: sequence numbers for non-overtaking delivery and
+/// the pair's matching queues. A world holds up to P^2 of these, so empty
+/// queues must not allocate (std::deque would, ~600 B each).
 struct PairChannel {
   std::uint64_t next_send_seq = 0;
   std::uint64_t next_deliver_seq = 0;
+  /// Arrived, unmatched messages from src, in arrival order.
+  std::vector<std::shared_ptr<Msg>> unexpected;
+  /// Pending receives at dst naming src, in post order.
+  std::vector<std::shared_ptr<PostedRecv>> posted;
+  /// Early arrivals waiting for a predecessor (the network may reorder).
   std::map<std::uint64_t, std::shared_ptr<Msg>> holdback;
+
+  /// Hands `msg` to `release` if it is next in send order, then every
+  /// held-back successor it unblocks. An early arrival is held back; an
+  /// already-delivered seq (a retransmission that raced its ack) is dropped.
+  template <typename Release>
+  void release_in_order(std::shared_ptr<Msg> msg, Release&& release) {
+    if (msg->seq != next_deliver_seq) {
+      if (msg->seq > next_deliver_seq) {
+        holdback.try_emplace(msg->seq, std::move(msg));
+      }
+      return;
+    }
+    ++next_deliver_seq;
+    release(std::move(msg));
+    while (!holdback.empty() && holdback.begin()->first == next_deliver_seq) {
+      auto next = std::move(holdback.begin()->second);
+      holdback.erase(holdback.begin());
+      ++next_deliver_seq;
+      release(std::move(next));
+    }
+  }
 };
 
+/// Per-rank matching state besides the pair queues. Allocates nothing until
+/// a wildcard receive is posted.
 struct Mailbox {
-  std::deque<std::shared_ptr<Msg>> unexpected;
-  std::deque<std::shared_ptr<PostedRecv>> posted;
+  /// One counter stamps every post and every arrival at this rank, so
+  /// matches across several queues keep MPI's order exactly.
+  std::uint64_t next_stamp = 0;
+  /// Pending kAnySource receives, in post order.
+  std::vector<std::shared_ptr<PostedRecv>> any_source;
 };
 
 struct World {
@@ -89,16 +124,22 @@ struct World {
   /// instant. Idempotent.
   void kill_rank(int rank);
 
-  PairChannel& chan(int src, int dst) {
-    return chans[static_cast<std::uint64_t>(src) *
-                     static_cast<std::uint64_t>(nprocs) +
-                 static_cast<std::uint64_t>(dst)];
-  }
+  PairChannel& chan(int src, int dst) { return chans[pair_key(src, dst)]; }
 
-  static bool matches(int want_src, int want_tag, const Msg& m) {
-    return (want_src == kAnySource || want_src == m.src) &&
-           (want_tag == kAnyTag || want_tag == m.tag);
-  }
+  /// Matches an in-order arrival at `dst` on its pair `ch`: removes and
+  /// returns the earliest-posted receive matching it, from the pair queue or
+  /// the wildcard queue. Without one, moves `msg` into the pair's
+  /// unexpected queue and returns nullptr.
+  std::shared_ptr<PostedRecv> match_arrival(int dst, PairChannel& ch,
+                                            std::shared_ptr<Msg>& msg);
+
+  /// Matches a receive posted at `dst`: removes and returns the
+  /// earliest-arrived matching message (across every peer for kAnySource).
+  /// Without one, moves `pr` into its pending queue and returns nullptr.
+  std::shared_ptr<Msg> match_post(int dst, std::shared_ptr<PostedRecv>& pr);
+
+  /// Withdraws a pending receive at `dst` (recv_ft's dead-peer verdict).
+  void cancel_post(int dst, const PostedRecv& pr);
 
   /// Called in event context when a message's transfer (or its RTS)
   /// completes; enforces per-pair FIFO then matches or enqueues. Duplicate
@@ -124,7 +165,11 @@ struct World {
                       std::shared_ptr<PostedRecv> pr);
 
  private:
-  void match_or_enqueue(int dst, std::shared_ptr<Msg> msg);
+  std::uint64_t pair_key(int src, int dst) const {
+    return static_cast<std::uint64_t>(src) *
+               static_cast<std::uint64_t>(nprocs) +
+           static_cast<std::uint64_t>(dst);
+  }
 };
 
 }  // namespace colcom::mpi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "check/check.hpp"
 #include "fault/chaos.hpp"
@@ -82,6 +83,17 @@ std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
   pos += 8;
   return v;
 }
+
+// Receive scratch for peers' offset lists. A list's size is unknown a priori
+// and recv() enforces fit, so the scratch holds any realistic list (256k
+// extents). It is left uninitialized: each receive reads back only the bytes
+// it was sent, and pages no list reaches are never committed.
+struct ListScratch {
+  static constexpr std::size_t kBytes = 4 << 20;
+  std::unique_ptr<std::byte[]> mem =
+      std::make_unique_for_overwrite<std::byte[]>(kBytes);
+  std::span<std::byte> bytes() const { return {mem.get(), kBytes}; }
+};
 }
 
 std::vector<pfs::ByteExtent> chunk_read_extents(
@@ -376,17 +388,13 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
   if (plan.is_aggregator(comm.rank())) {
     plan.domain_requests.resize(static_cast<std::size_t>(nprocs));
     // Receive every rank's clipped list (deterministic rank order).
-    // The sender's clipped-list size is unknown a priori; recv() enforces
-    // fit, so use a staging buffer large enough for any realistic offset
-    // list (256k extents). recv_ft degrades to recv() without an injector
-    // and turns a mid-exchange peer death into a structured fault instead
-    // of a hang.
-    std::vector<std::byte> buf(4 << 20);
+    // recv_ft degrades to recv() without an injector and turns a
+    // mid-exchange peer death into a structured fault instead of a hang.
+    const ListScratch scratch;
     for (int r = 0; r < nprocs; ++r) {
-      const auto info = comm.recv_ft(r, plan_tag(hints), buf);
+      const auto info = comm.recv_ft(r, plan_tag(hints), scratch.bytes());
       plan.domain_requests[static_cast<std::size_t>(r)] =
-          FlatRequest::deserialize(
-              std::span<const std::byte>(buf.data(), info.bytes));
+          FlatRequest::deserialize(scratch.bytes().first(info.bytes));
     }
   }
   mpi::wait_all(sends);
@@ -409,16 +417,15 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
         rsends.push_back(comm.isend(r, replica_tag(hints), wire));
       }
       plan.all_requests.resize(static_cast<std::size_t>(nprocs));
-      std::vector<std::byte> buf(4 << 20);
+      const ListScratch scratch;
       for (int r = 0; r < nprocs; ++r) {
         if (r == comm.rank()) {
           plan.all_requests[static_cast<std::size_t>(r)] = mine;
           continue;
         }
-        const auto info = comm.recv_ft(r, replica_tag(hints), buf);
+        const auto info = comm.recv_ft(r, replica_tag(hints), scratch.bytes());
         plan.all_requests[static_cast<std::size_t>(r)] =
-            FlatRequest::deserialize(
-                std::span<const std::byte>(buf.data(), info.bytes));
+            FlatRequest::deserialize(scratch.bytes().first(info.bytes));
       }
       mpi::wait_all(rsends);
       mpi::ft::crash_point(comm, fault::Phase::plan_exchange);
@@ -554,11 +561,11 @@ std::vector<FlatRequest> replan_exchange(mpi::Comm& comm,
       survivors.end()) {
     const int nprocs = comm.size();
     absorbed.resize(static_cast<std::size_t>(nprocs));
-    std::vector<std::byte> buf(4 << 20);
+    const ListScratch scratch;
     for (int r = 0; r < nprocs; ++r) {
-      const auto info = comm.recv(r, replan_tag(hints), buf);
-      absorbed[static_cast<std::size_t>(r)] = FlatRequest::deserialize(
-          std::span<const std::byte>(buf.data(), info.bytes));
+      const auto info = comm.recv(r, replan_tag(hints), scratch.bytes());
+      absorbed[static_cast<std::size_t>(r)] =
+          FlatRequest::deserialize(scratch.bytes().first(info.bytes));
     }
   }
   mpi::wait_all(sends);

@@ -894,13 +894,14 @@ void StagedReader::verify_hit(ChunkCache::Entry& e, SourceChunk& out) {
     }
   }
   // Unrecoverable garbage: doom the entry so no future lookup can hit it,
-  // hand back our pin (erasing it), and surface the structured failure.
+  // hand back our pin (erasing it), and surface the structured failure. The
+  // message names the entry, so it is built before unpin() frees it.
   e.doomed = true;
+  const std::string where = "file " + std::to_string(e.key.file) +
+                            " offset " + std::to_string(e.key.offset);
   area_->cache_.unpin(e, st);
-  throw integrity::make_corrupt_error(
-      fault::Layer::stage, integrity::Stage::cache,
-      "file " + std::to_string(e.key.file) + " offset " +
-          std::to_string(e.key.offset));
+  throw integrity::make_corrupt_error(fault::Layer::stage,
+                                      integrity::Stage::cache, where);
 }
 
 void StagedReader::release() {

@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
+#include <map>
 #include <numeric>
+#include <utility>
 
+#include "fault/chaos.hpp"
+#include "fault/fault.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/ft.hpp"
 #include "mpi/op.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/world.hpp"
 #include "util/prng.hpp"
 
 namespace colcom::mpi {
@@ -65,6 +72,25 @@ TEST(Op, UserFunctionIsCalled) {
   std::vector<float> a{1.f, 2.f}, b{10.f, 20.f};
   op.apply(a.data(), b.data(), 2, Prim::f32);
   EXPECT_EQ(b, (std::vector<float>{12.f, 24.f}));
+}
+
+TEST(Op, CombinesMisalignedOperands) {
+  // Reduction operands arrive inside message payloads at any byte offset;
+  // the combine must not assume alignment (UBSan checks this under CI).
+  const std::vector<double> a{1.5, -2.0, 8.25};
+  const std::vector<double> b{4.0, 3.5, -0.25};
+  std::vector<std::byte> in(1 + sizeof(double) * a.size());
+  std::vector<std::byte> inout(3 + sizeof(double) * b.size());
+  std::memcpy(in.data() + 1, a.data(), sizeof(double) * a.size());
+  std::memcpy(inout.data() + 3, b.data(), sizeof(double) * b.size());
+  Op::sum().apply(in.data() + 1, inout.data() + 3, a.size(), Prim::f64);
+  std::vector<double> got(b.size());
+  std::memcpy(got.data(), inout.data() + 3, sizeof(double) * got.size());
+  EXPECT_EQ(got, (std::vector<double>{5.5, 1.5, 8.0}));
+  Op::max().identity(inout.data() + 1, Prim::f64);
+  double id = 0;
+  std::memcpy(&id, inout.data() + 1, sizeof id);
+  EXPECT_EQ(id, -std::numeric_limits<double>::infinity());
 }
 
 TEST(Comm, SendRecvMovesBytes) {
@@ -526,6 +552,220 @@ TEST(Comm, SpawnThreadRunsOnSameNodeAndJoins) {
   });
   EXPECT_TRUE(thread_ran);
   EXPECT_DOUBLE_EQ(join_time, 2.0);
+}
+
+// ---- matching: per-pair queues against the linear-scan reference ----
+
+// One match decision: a released message and the receive it matched
+// (nullptr when it was queued as unexpected), or a posted receive and the
+// message it matched (nullptr when it was queued as pending).
+using Decision = std::pair<const void*, const void*>;
+
+// The matcher the per-pair queues replaced, kept as the reference model:
+// one unexpected deque and one posted deque per rank, each scanned front to
+// back, behind a per-pair holdback map that restores send order.
+class ReferenceMailbox {
+ public:
+  explicit ReferenceMailbox(int nprocs)
+      : next_deliver_(static_cast<std::size_t>(nprocs)),
+        holdback_(static_cast<std::size_t>(nprocs)) {}
+
+  void deliver(std::shared_ptr<Msg> msg, std::vector<Decision>& out) {
+    const auto src = static_cast<std::size_t>(msg->src);
+    auto& hb = holdback_[src];
+    if (msg->seq < next_deliver_[src] || hb.count(msg->seq) != 0) return;
+    hb.emplace(msg->seq, std::move(msg));
+    while (!hb.empty() && hb.begin()->first == next_deliver_[src]) {
+      auto released = std::move(hb.begin()->second);
+      hb.erase(hb.begin());
+      ++next_deliver_[src];
+      out.push_back(arrive(std::move(released)));
+    }
+  }
+
+  Decision post(std::shared_ptr<PostedRecv> pr) {
+    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+      if (!matches(pr->src, pr->tag, **it)) continue;
+      const Msg* m = it->get();
+      unexpected_.erase(it);
+      return {pr.get(), m};
+    }
+    const PostedRecv* id = pr.get();
+    posted_.push_back(std::move(pr));
+    return {id, nullptr};
+  }
+
+  void cancel(const PostedRecv* pr) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (it->get() == pr) {
+        posted_.erase(it);
+        break;
+      }
+    }
+  }
+
+ private:
+  static bool matches(int want_src, int want_tag, const Msg& m) {
+    return (want_src == kAnySource || want_src == m.src) &&
+           (want_tag == kAnyTag || want_tag == m.tag);
+  }
+
+  Decision arrive(std::shared_ptr<Msg> msg) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (!matches((*it)->src, (*it)->tag, *msg)) continue;
+      const PostedRecv* pr = it->get();
+      posted_.erase(it);
+      return {msg.get(), pr};
+    }
+    const Msg* id = msg.get();
+    unexpected_.push_back(std::move(msg));
+    return {id, nullptr};
+  }
+
+  std::deque<std::shared_ptr<Msg>> unexpected_;
+  std::deque<std::shared_ptr<PostedRecv>> posted_;
+  std::vector<std::uint64_t> next_deliver_;
+  std::vector<std::map<std::uint64_t, std::shared_ptr<Msg>>> holdback_;
+};
+
+// Seeded random traffic into one mailbox: posts (specific or wildcard
+// source and tag), wire arrivals in any order (so the holdback reorders),
+// duplicate arrivals, and withdrawn receives (recv_ft's dead-peer verdict).
+// Every decision of World's matcher must equal the reference's.
+TEST(Matching, PerPairQueuesDecideLikeLinearScan) {
+  std::uint64_t decisions = 0;
+  std::uint64_t wildcard_hits = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Prng rng(seed);
+    const int nprocs = static_cast<int>(rng.next_below(5)) + 2;  // 2..6
+    const int ntags = static_cast<int>(rng.next_below(3)) + 1;   // 1..3
+    const int dst = static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(nprocs)));  // self-sends included
+    World w;
+    w.nprocs = nprocs;
+    w.mailbox.resize(static_cast<std::size_t>(nprocs));
+    ReferenceMailbox ref(nprocs);
+
+    std::vector<std::uint64_t> next_seq(static_cast<std::size_t>(nprocs));
+    std::vector<std::shared_ptr<Msg>> in_flight;
+    std::vector<std::shared_ptr<Msg>> delivered;
+    std::vector<std::shared_ptr<PostedRecv>> recvs;  // every post, for cancel
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.next_below(n));
+    };
+    const auto any_rank = [&] {
+      return static_cast<int>(pick(static_cast<std::size_t>(nprocs)));
+    };
+    const auto any_tag = [&] {
+      return static_cast<int>(pick(static_cast<std::size_t>(ntags)));
+    };
+    std::vector<Decision> want;
+    std::vector<Decision> got;
+    // One wire arrival into both matchers.
+    const auto land = [&](const std::shared_ptr<Msg>& m) {
+      ref.deliver(m, want);
+      PairChannel& ch = w.chan(m->src, dst);
+      ch.release_in_order(m, [&](std::shared_ptr<Msg> r) {
+        const Msg* id = r.get();
+        got.emplace_back(id, w.match_arrival(dst, ch, r).get());
+      });
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      want.clear();
+      got.clear();
+      if (op < 35) {
+        auto pr = std::make_shared<PostedRecv>();
+        pr->src = rng.next_below(4) == 0 ? kAnySource : any_rank();
+        pr->tag = rng.next_below(4) == 0 ? kAnyTag : any_tag();
+        recvs.push_back(pr);
+        want.push_back(ref.post(pr));
+        auto mine = pr;
+        std::shared_ptr<Msg> m = w.match_post(dst, mine);
+        got.emplace_back(pr.get(), m.get());
+        if (m != nullptr && pr->src == kAnySource) ++wildcard_hits;
+      } else if (op < 70) {
+        auto m = std::make_shared<Msg>();
+        m->src = any_rank();
+        m->tag = any_tag();
+        m->seq = next_seq[static_cast<std::size_t>(m->src)]++;
+        in_flight.push_back(std::move(m));
+        continue;
+      } else if (op < 95) {
+        if (in_flight.empty()) continue;
+        // Any in-flight message may land next: pairs reorder on the wire.
+        const std::size_t i = pick(in_flight.size());
+        std::shared_ptr<Msg> m = in_flight[i];
+        in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(i));
+        delivered.push_back(m);
+        land(m);
+      } else if (op < 98) {
+        if (delivered.empty()) continue;
+        // A retransmitted copy that raced its ack: dropped by both.
+        land(delivered[pick(delivered.size())]);
+      } else {
+        if (recvs.empty()) continue;
+        // Withdraw a receive; a no-op when it already matched.
+        const PostedRecv* pr = recvs[pick(recvs.size())].get();
+        ref.cancel(pr);
+        w.cancel_post(dst, *pr);
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+      decisions += got.size();
+    }
+  }
+  // The traffic mix must actually exercise matching, wildcards included.
+  EXPECT_GT(decisions, 50000u);
+  EXPECT_GT(wildcard_hits, 500u);
+}
+
+TEST(Matching, RecvFtWithdrawnReceiveLeavesLaterMatchesIntact) {
+  // Rank 0 has a receive from rank 2 pending when recv_ft declares rank 1
+  // dead and withdraws its own receive. Rank 2's two later messages must
+  // match the pending receive first, then a wildcard receive.
+  Runtime rt(small_machine(), 3);
+  fault::ChaosConfig cc;
+  fault::ChaosSchedule sched(cc, rt.n_nodes(), 3, 4);
+  sched.add_crash_point({fault::Phase::mid_map, 1, 1});
+  rt.install_chaos(std::move(sched));
+  bool detected = false;
+  std::int32_t first = 0;
+  std::int32_t second = 0;
+  MsgInfo second_info;
+  const auto out = [](std::int32_t& v) {
+    return std::as_writable_bytes(std::span<std::int32_t>(&v, 1));
+  };
+  const auto in = [](const std::int32_t& v) {
+    return std::as_bytes(std::span<const std::int32_t>(&v, 1));
+  };
+  rt.run([&](Comm& c) {
+    if (c.rank() == 1) {
+      ft::crash_point(c, fault::Phase::mid_map);  // dies here
+      return;
+    }
+    if (c.rank() == 2) {
+      // Send only after rank 0's two-poll verdict on rank 1.
+      c.compute(4 * rt.chaos()->schedule().config().crash_detect_timeout_s);
+      const std::int32_t a = 21;
+      const std::int32_t b = 22;
+      c.send(0, 7, in(a));
+      c.send(0, 7, in(b));
+      return;
+    }
+    Request pending = c.irecv(2, 7, out(first));
+    std::int32_t lost = 0;
+    try {
+      c.recv_ft(1, 7, out(lost));
+    } catch (const fault::Error& e) {
+      detected = e.kind() == fault::Kind::rank_failed && e.rank() == 1;
+    }
+    pending.wait();
+    second_info = c.recv(kAnySource, 7, out(second));
+  });
+  EXPECT_TRUE(detected);
+  EXPECT_EQ(first, 21);
+  EXPECT_EQ(second, 22);
+  EXPECT_EQ(second_info.source, 2);
 }
 
 TEST(Runtime, NodePlacementIsBlocked) {
