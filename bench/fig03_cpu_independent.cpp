@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   mpi::Runtime rt(machine, nprocs);
   prof::CpuProfile profile(0.05);
-  rt.engine().set_cpu_listener(&profile);
+  rt.engine().add_trace_sink(&profile);
   auto ds = bench::make_climate_dataset(rt.fs(), bench::fig1_dims());
 
   rt.run([&](mpi::Comm& comm) {

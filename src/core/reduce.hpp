@@ -19,6 +19,8 @@ namespace colcom::core {
 class Accumulator {
  public:
   Accumulator(const mpi::Op& op, mpi::Prim p);
+  /// The accumulator keeps a pointer to `op`, so a temporary would dangle.
+  Accumulator(mpi::Op&& op, mpi::Prim p) = delete;
 
   /// Folds `count` elements at `data` into the accumulator.
   void combine(const void* data, std::uint64_t count);

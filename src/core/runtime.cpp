@@ -197,7 +197,14 @@ void fold_final(mpi::Comm& comm, const ObjectIO& obj, mpi::Prim prim,
                   std::as_writable_bytes(std::span<FinalRecord>(&other, 1)));
         if (other.has_value != 0) {
           if (rec.has_value != 0) {
-            obj.op.apply(other.value, rec.value, 1, prim);
+            // The record's value sits at byte 1, and a user op may read
+            // its operands as the element type: combine aligned copies.
+            alignas(8) unsigned char in[8];
+            alignas(8) unsigned char inout[8];
+            std::memcpy(in, other.value, sizeof(in));
+            std::memcpy(inout, rec.value, sizeof(inout));
+            obj.op.apply(in, inout, 1, prim);
+            std::memcpy(rec.value, inout, sizeof(inout));
           } else {
             rec = other;
           }
@@ -575,39 +582,33 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   };
 
   // ---- aggregator-side pipelined I/O state (Fig. 7: the I/O thread) ----
-  // With a staging area attached, chunk acquisition goes through its cache
-  // + prefetch pipeline instead of the bare ChunkReader; warm chunks skip
-  // the PFS entirely and prefetch failures degrade to demand reads.
-  std::vector<std::byte> bufs[2];
-  romio::ChunkReader reader;
+  // One chunk source serves every aggregator read of this run, picked once:
+  // an explicit ropt.source (the streaming data plane), else a StagedReader
+  // over the attached staging area (warm chunks skip the PFS, prefetch
+  // failures degrade to demand reads), else the double-buffered PfsReader.
+  // Cold make-ups read around the staging cache: the watch that announced
+  // the miss has just invalidated that window, and a cache insert there
+  // would shift later evictions.
+  stage::PfsReader pfs_reader(comm, fs, ds.file(), hints.sieve_gap, fi);
   std::optional<stage::StagedReader> sreader;
-  // The chunk source actually serving aggregator reads this run: an
-  // explicit ropt.source (the streaming data plane) wins, else a
-  // StagedReader over the attached staging area, else nullptr and the
-  // bare ChunkReader double-buffers against the PFS.
-  stage::ChunkSource* csrc = ropt.source;
-  if (csrc == nullptr && ropt.staging != nullptr && my_agg >= 0) {
+  stage::ChunkSource* makeup_src = &pfs_reader;
+  if (ropt.source != nullptr) {
+    makeup_src = ropt.source;
+  } else if (ropt.staging != nullptr && my_agg >= 0) {
     sreader.emplace(*ropt.staging, fs, ds.file(), hints.sieve_gap, fi);
-    csrc = &*sreader;
   }
-  auto issue_read = [&](int k, bool speculative) -> bool {
-    if (csrc != nullptr) {
-      return csrc->begin(plan.chunk(my_agg, k), plan.domain_requests,
-                         speculative);
-    }
-    reader.issue(fs, ds.file(), plan.domain_requests, plan.chunk(my_agg, k),
-                 bufs[k % 2], hints.sieve_gap, comm.wtime(), fi);
-    return true;
+  stage::ChunkSource& csrc = sreader ? *sreader : *makeup_src;
+  auto issue_read = [&](int k, bool speculative) {
+    return csrc.begin(plan.chunk(my_agg, k), plan.domain_requests,
+                      speculative);
   };
   // The staging config can veto the speculative overlap (the benches' worst
   // case) even when the hints ask for pipelining.
   const bool pipelined =
-      hints.pipelined &&
-      (ropt.source != nullptr || ropt.staging == nullptr ||
-       ropt.staging->config().prefetch);
+      hints.pipelined && (!sreader || ropt.staging->config().prefetch);
   // Readahead depth: how many chunks beyond the one in service may be in
-  // flight. Only the staging pipeline can queue more than one (the bare
-  // ChunkReader double-buffers, a stream source paces itself through the
+  // flight. Only the staging pipeline can queue more than one (the
+  // PfsReader double-buffers, a stream source paces itself through the
   // topic window), and depths > 1 are additionally subject to the area's
   // readahead budget — a denied speculative issue leaves `next_issue` in
   // place and the chunk is demand-read when its turn comes.
@@ -645,13 +646,75 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   }
 
   std::vector<PartialRecord> batch;        // a2one shuffle payload
-  // Batches whose isends are still in flight. An iteration can run
-  // process_chunk twice (its own chunk plus an absorbed dead domain during
-  // crash recovery); reusing `batch` for the second call would mutate the
-  // first call's pending send buffers (CHK-BUF), so each shuffle parks its
-  // payload here until the iteration's wait_all.
+  // This iteration's isends, and the batches they send from. An iteration
+  // can run process_chunk twice (its own chunk plus an absorbed dead domain
+  // during crash recovery); reusing `batch` for the second call would
+  // mutate the first call's pending send buffers (CHK-BUF), so each shuffle
+  // parks its payload here until the iteration's wait_all.
+  std::vector<mpi::Request> sends;
   std::vector<std::vector<PartialRecord>> shipped;
-  std::vector<std::byte> recv_buf;
+  auto settle_sends = [&] {
+    mpi::wait_all(sends);
+    sends.clear();
+    shipped.clear();
+  };
+  // Receive buffers: a whole slot batch (all_to_one root, warm make-up), or
+  // this rank's single record of a slot (all_to_all), on the stack.
+  std::vector<PartialRecord> recv_buf;
+  PartialRecord recv_one;
+  auto batch_buf = [&] {
+    recv_buf.resize(static_cast<std::size_t>(comm.size()));
+    return std::span<PartialRecord>(recv_buf);
+  };
+  auto slot_buf = [&] {
+    return a2one ? batch_buf() : std::span<PartialRecord>(&recv_one, 1);
+  };
+
+  // Ships one slot's partial records under `tag`: the whole batch to the
+  // root (all_to_one) or each record to its origin rank (all_to_all).
+  // `recs` must stay unchanged until the iteration's wait_all.
+  auto ship_records = [&](std::span<const PartialRecord> recs, int tag) {
+    if (a2one) {
+      const auto wire = std::as_bytes(recs);
+      stats.shuffle_bytes += wire.size();
+      TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
+                  "cc.shuffle_bytes", wire.size());
+      sends.push_back(comm.isend(obj.root, tag, wire));
+      return;
+    }
+    for (const PartialRecord& rec : recs) {
+      stats.shuffle_bytes += sizeof(PartialRecord);
+      TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
+                  "cc.shuffle_bytes", sizeof(PartialRecord));
+      sends.push_back(comm.isend(
+          rec.origin, tag,
+          std::as_bytes(std::span<const PartialRecord>(&rec, 1))));
+    }
+  };
+
+  // Receives one slot from `src` under `tag` into `dst` and returns the
+  // records that arrived, or nullopt on a miss: a 1-byte death note, or —
+  // under a crash watch — the sender's process death. With `death_is_miss`
+  // false that death propagates as fault::Error{rank_failed} instead.
+  auto recv_slot = [&](int src, int tag, std::span<PartialRecord> dst,
+                       bool death_is_miss = true)
+      -> std::optional<std::span<const PartialRecord>> {
+    const std::span<std::byte> wire = std::as_writable_bytes(dst);
+    std::uint64_t nbytes = 0;
+    if (!watch) {
+      nbytes = comm.recv(src, tag, wire).bytes;
+    } else {
+      try {
+        nbytes = comm.recv_ft(src, tag, wire).bytes;
+      } catch (const fault::Error& e) {
+        if (!death_is_miss || e.kind() != fault::Kind::rank_failed) throw;
+        return std::nullopt;
+      }
+      // Real batches are multiples of 32 bytes, empty ones 0 bytes.
+      if (nbytes == 1) return std::nullopt;
+    }
+    return dst.first(nbytes / sizeof(PartialRecord));
+  };
 
   // Construction + map + shuffle of one aggregated chunk described by
   // `dreqs` — the plan's own domain requests under kPartialTag, an
@@ -663,8 +726,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   auto process_chunk = [&](const pfs::ByteExtent& c,
                            std::span<const std::byte> chunk,
                            const std::vector<romio::FlatRequest>& dreqs,
-                           double read_service, int tag,
-                           std::vector<mpi::Request>& sends, bool ship) {
+                           double read_service, int tag, bool ship) {
     batch.clear();
     double construct_charge = 0;
     std::uint64_t mapped_bytes = 0;
@@ -735,46 +797,58 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     if (ship) {
       TRACE_SPAN(comm.engine(), "cc", "shuffle");
       if (c.length > 0) {
-        if (!test_bug("COLCOM_TEST_SHUFFLE_REUSE_BUG")) {
-          shipped.push_back(std::move(batch));
-        } else {
-          // Seeded PR 3 bug: ship from the live `batch`, which the next
+        if (test_bug("COLCOM_TEST_SHUFFLE_REUSE_BUG")) {
+          // Seeded bug: ship from the live `batch`, which the next
           // process_chunk call this iteration clears and refills while the
           // isends are still pending (CHK-BUF).
-          shipped.emplace_back();
-        }
-        const std::vector<PartialRecord>& out =
-            shipped.back().empty() && !batch.empty() ? batch : shipped.back();
-        if (a2one) {
-          const auto wire =
-              std::as_bytes(std::span<const PartialRecord>(out));
-          stats.shuffle_bytes += wire.size();
-          TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
-                      "cc.shuffle_bytes", wire.size());
-          sends.push_back(comm.isend(obj.root, tag, wire));
+          ship_records(batch, tag);
         } else {
-          for (const auto& rec : out) {
-            stats.shuffle_bytes += sizeof(PartialRecord);
-            TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
-                        "cc.shuffle_bytes", sizeof(PartialRecord));
-            sends.push_back(comm.isend(
-                rec.origin, tag,
-                std::as_bytes(std::span<const PartialRecord>(&rec, 1))));
-          }
+          shipped.push_back(std::move(batch));
+          ship_records(shipped.back(), tag);
         }
       }
     }
     stats.shuffle_s += comm.wtime() - s0;
   };
 
-  // Fold one slot's records at an a2one root, in record order.
+  // Folds one slot's records in record order: into the per-rank
+  // accumulators at an all_to_one root, into this rank's own otherwise.
   auto fold_records = [&](std::span<const PartialRecord> recs) {
     for (const PartialRecord& rec : recs) {
       if (rec.has_value == 0) continue;
+      if (!a2one) {
+        my_acc.combine_value(rec.value);
+        continue;
+      }
       per_rank_acc[static_cast<std::size_t>(rec.origin)].combine_value(
           rec.value);
       per_rank_elems[static_cast<std::size_t>(rec.origin)] += rec.elements;
     }
+  };
+
+  // Re-reads chunk `c` of dead domain `d` through a fresh auxiliary reader
+  // of `src`, so the primary pipeline's order stays untouched, then maps
+  // and ships it under `tag`: an absorbed chunk under kAbsorbTag ("absorb"
+  // phase) or a cold make-up re-serve under kRecoverTag ("makeup" phase).
+  auto serve_dead_chunk = [&](stage::ChunkSource& src,
+                              const pfs::ByteExtent& c, int d,
+                              const char* phase, int tag) {
+    const auto& dreqs = absorbed[static_cast<std::size_t>(d)];
+    const std::unique_ptr<stage::ChunkSource> ar = src.aux();
+    ar->begin(c, dreqs, false);
+    const double w0 = comm.wtime();
+    stage::SourceChunk sc;
+    {
+      TRACE_SPAN(comm.engine(), "cc", phase);
+      sc = ar->take();
+    }
+    stats.io_s += comm.wtime() - w0;
+    stats.bytes_read += sc.bytes_read;
+    stats.io_fallbacks += sc.fallbacks;
+    ++stats.absorbed_chunks;
+    fi->note_absorbed_chunk();
+    process_chunk(c, sc.data, dreqs, sc.service_s, tag, true);
+    ar->release();
   };
 
   // Post-watch recovery, sender side. Two symmetric roles, both derived
@@ -783,7 +857,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // missed slot to the receivers under kRecoverTag — warm (forwarding the
   // wreck records, no PFS traffic) when the dead rank's process is alive
   // and warm_partials allows it, cold (re-reading the chunk) otherwise.
-  auto post_watch = [&](std::vector<mpi::Request>& sends) {
+  auto post_watch = [&] {
     if (my_agg >= 0 && agg_dead[static_cast<std::size_t>(my_agg)] != 0) {
       const int mk = miss_iter[static_cast<std::size_t>(my_agg)];
       if (wreck.has_value()) {
@@ -838,26 +912,10 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
           // bytes. The role-dead rank's *process* may still die between the
           // watch's verdict and its wreck shipping; fall through to the
           // cold re-read then (warm and cold build identical records).
-          recv_buf.resize(static_cast<std::size_t>(comm.size()) *
-                          sizeof(PartialRecord));
-          std::uint64_t nbytes = 0;
-          bool got = true;
-          try {
-            nbytes = comm.recv_ft(
-                         plan.aggregators[static_cast<std::size_t>(d)],
-                         warm_rep_tag, recv_buf)
-                         .bytes;
-          } catch (const fault::Error& e) {
-            if (e.kind() != fault::Kind::rank_failed) throw;
-            got = false;
-          }
-          // A 1-byte payload is the role-dead rank's "no wreck" death note
-          // (real batches are multiples of 32 bytes, empty ones 0 bytes).
-          if (nbytes == 1) got = false;
-          if (got) {
-            const auto nrec = nbytes / sizeof(PartialRecord);
-            std::vector<PartialRecord> recs(nrec);
-            std::memcpy(recs.data(), recv_buf.data(), nbytes);
+          // A 1-byte payload is the role-dead rank's "no wreck" death note.
+          if (const auto recs = recv_slot(
+                  plan.aggregators[static_cast<std::size_t>(d)], warm_rep_tag,
+                  batch_buf())) {
             std::uint64_t saved = 0;
             for (const auto& e : romio::chunk_read_extents(
                      absorbed[static_cast<std::size_t>(d)], c,
@@ -865,67 +923,16 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
               saved += e.length;
             }
             ++stats.warm_chunks;
-            fi->note_warm_chunk(nrec, saved);
-            shipped.push_back(std::move(recs));
-            const std::vector<PartialRecord>& b = shipped.back();
-            if (a2one) {
-              stats.shuffle_bytes += b.size() * sizeof(PartialRecord);
-              sends.push_back(comm.isend(
-                  obj.root, recover_tag,
-                  std::as_bytes(std::span<const PartialRecord>(b))));
-            } else {
-              for (const PartialRecord& rec : b) {
-                stats.shuffle_bytes += sizeof(PartialRecord);
-                sends.push_back(comm.isend(
-                    rec.origin, recover_tag,
-                    std::as_bytes(std::span<const PartialRecord>(&rec, 1))));
-              }
-            }
+            fi->note_warm_chunk(recs->size(), saved);
+            shipped.emplace_back(recs->begin(), recs->end());
+            ship_records(shipped.back(), recover_tag);
             served = true;
           }
         }
         if (!served) {
           // Cold make-up: re-read the lost chunk and rebuild its records —
           // the arithmetic and record order match the fault-free serve.
-          // With a stream source attached the bytes never hit the PFS, so
-          // the make-up reads from an auxiliary (non-subscribing) reader
-          // over the same topic instead of a bare ChunkReader.
-          if (ropt.source != nullptr) {
-            std::unique_ptr<stage::ChunkSource> ar = ropt.source->aux();
-            ar->begin(c, absorbed[static_cast<std::size_t>(d)], false);
-            const double w0 = comm.wtime();
-            stage::SourceChunk sc;
-            {
-              TRACE_SPAN(comm.engine(), "cc", "makeup");
-              sc = ar->take();
-            }
-            stats.io_s += comm.wtime() - w0;
-            stats.bytes_read += sc.bytes_read;
-            stats.io_fallbacks += sc.fallbacks;
-            ++stats.absorbed_chunks;
-            fi->note_absorbed_chunk();
-            std::vector<std::byte> abuf(sc.data.begin(), sc.data.end());
-            ar->release();
-            process_chunk(c, abuf, absorbed[static_cast<std::size_t>(d)],
-                          sc.service_s, recover_tag, sends, true);
-          } else {
-            romio::ChunkReader ar;
-            std::vector<std::byte> abuf;
-            ar.issue(fs, ds.file(), absorbed[static_cast<std::size_t>(d)], c,
-                     abuf, hints.sieve_gap, comm.wtime(), fi);
-            const double w0 = comm.wtime();
-            {
-              TRACE_SPAN(comm.engine(), "cc", "makeup");
-              ar.wait();
-            }
-            stats.io_s += comm.wtime() - w0;
-            stats.bytes_read += ar.bytes_read();
-            stats.io_fallbacks += ar.fallbacks();
-            ++stats.absorbed_chunks;
-            fi->note_absorbed_chunk();
-            process_chunk(c, abuf, absorbed[static_cast<std::size_t>(d)],
-                          ar.service_time(), recover_tag, sends, true);
-          }
+          serve_dead_chunk(*makeup_src, c, d, "makeup", recover_tag);
         }
       } catch (const fault::Error&) {
         if (!recover) throw;
@@ -983,52 +990,19 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
                           "make-up recovery is single-level: the absorbing "
                           "survivor of a missed slot died before re-serving "
                           "it");
-        const int src =
-            plan.aggregators[static_cast<std::size_t>(serving_index(e.a, e.k))];
-        if (a2one) {
-          recv_buf.resize(static_cast<std::size_t>(comm.size()) *
-                          sizeof(PartialRecord));
-          std::uint64_t nbytes = 0;
-          try {
-            nbytes = comm.recv_ft(src, recover_tag, recv_buf).bytes;
-          } catch (const fault::Error& err) {
-            if (!recover || err.kind() != fault::Kind::rank_failed) throw;
-            go_zombie();
-            return;
-          }
-          if (recover && nbytes == 1) {
-            go_zombie();  // the absorber failed to re-serve and noted us
-            return;
-          }
-          const auto nrec = nbytes / sizeof(PartialRecord);
-          std::vector<PartialRecord> recs(nrec);
-          std::memcpy(recs.data(), recv_buf.data(), nbytes);
-          fold_records(recs);
-        } else {
-          PartialRecord rec;
-          std::uint64_t nbytes = 0;
-          try {
-            nbytes = comm.recv_ft(src, recover_tag,
-                                  std::as_writable_bytes(
-                                      std::span<PartialRecord>(&rec, 1)))
-                         .bytes;
-          } catch (const fault::Error& err) {
-            if (!recover || err.kind() != fault::Kind::rank_failed) throw;
-            go_zombie();
-            return;
-          }
-          if (recover && nbytes == 1) {
-            go_zombie();
-            return;
-          }
-          if (rec.has_value != 0) my_acc.combine_value(rec.value);
+        // In recover mode a miss means the absorber died, or failed to
+        // re-serve and noted us. Outside it no absorber sends that note, and
+        // its death stays fatal: the rank_failed propagates.
+        const auto recs = recv_slot(
+            plan.aggregators[static_cast<std::size_t>(serving_index(e.a, e.k))],
+            recover_tag, slot_buf(), recover);
+        if (!recs) {
+          go_zombie();
+          return;
         }
-      } else if (a2one) {
-        fold_records(e.recs);
+        fold_records(*recs);
       } else {
-        for (const PartialRecord& rec : e.recs) {
-          if (rec.has_value != 0) my_acc.combine_value(rec.value);
-        }
+        fold_records(e.recs);
       }
     }
     slot_log.clear();
@@ -1036,7 +1010,6 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   };
 
   for (int k = begin_iter; k < end_iter; ++k) {
-    std::vector<mpi::Request> sends;
     if (watch) {
       // Crash watch: role deaths are self-reported, process deaths come
       // from the agreement verdict. A role-crashed rank stays a
@@ -1047,7 +1020,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       // slices shifts the whole block by RunOptions::epoch_base so no two
       // attempts ever share an agreement epoch.
       do_watch(k, ropt.epoch_base + 2 * k);
-      post_watch(sends);
+      post_watch();
     }
     const bool serving_own =
         !aborting && my_agg >= 0 &&
@@ -1058,34 +1031,20 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
                   "cc.aggregation_rounds", 1);
       const double wait0 = comm.wtime();
-      stage::SourceChunk sc;
-      double read_service = 0;
-      std::span<std::byte> chunk_mut;
-      std::span<const pfs::ByteExtent> read_extents;
       // A readahead-budget denial earlier left this chunk unissued: fetch
       // it on demand now (never denied), keeping the take() order intact.
       if (next_issue <= k) {
         issue_read(k, false);
         next_issue = k + 1;
       }
+      stage::SourceChunk sc;
       {
         TRACE_SPAN(comm.engine(), "cc", "io");
-        if (csrc != nullptr) {
-          sc = csrc->take();
-          read_service = sc.service_s;
-          stats.bytes_read += sc.bytes_read;
-          stats.io_fallbacks += sc.fallbacks;
-          chunk_mut = sc.data;
-          read_extents = sc.extents;
-        } else {
-          reader.wait();
-          read_service = reader.service_time();
-          stats.bytes_read += reader.bytes_read();
-          chunk_mut = std::span<std::byte>(bufs[k % 2]);
-          read_extents = reader.extents();
-        }
+        sc = csrc.take();
       }
       stats.io_s += comm.wtime() - wait0;  // stall only; overlap is free
+      stats.bytes_read += sc.bytes_read;
+      stats.io_fallbacks += sc.fallbacks;
       if (obj.verify.verify_chunks && c.length > 0) {
         // End-to-end verification: checksum every read extent against the
         // pristine content; re-read (charged) until it matches. Under
@@ -1093,8 +1052,8 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         // hit re-serves the verified copy.
         const auto& truth = fs.store(ds.file()).pristine();
         const double memcpy_bw = comm.runtime().config().memcpy_bw;
-        for (const auto& e : read_extents) {
-          auto slice = chunk_mut.subspan(e.offset - c.offset, e.length);
+        for (const auto& e : sc.extents) {
+          auto slice = sc.data.subspan(e.offset - c.offset, e.length);
           const std::uint64_t want =
               pfs::store_checksum(truth, e.offset, e.length);
           comm.overhead(static_cast<double>(e.length) / memcpy_bw);
@@ -1109,7 +1068,6 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
           ++stats.chunks_verified;
         }
       }
-      const std::span<const std::byte> chunk(chunk_mut);
       // Mid-map process death: after the chunk read, before any of its
       // records ship — the canonical "late in the iteration" crash. Placed
       // before the k+1 prefetch so the dying fiber unwinds with no I/O in
@@ -1129,25 +1087,20 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
           ++next_issue;
         }
       }
-      if (interrupted) {
-        process_chunk(c, chunk, plan.domain_requests, read_service,
-                      partial_tag, sends, false);
-        if (c.length > 0) {
-          wreck = Wreck{k, std::move(batch)};
-          const std::span<const std::byte> note(&death_note, 1);
-          if (a2one) {
-            sends.push_back(comm.isend(obj.root, partial_tag, note));
-          } else {
-            for (const PartialRecord& rec : wreck->batch) {
-              sends.push_back(comm.isend(rec.origin, partial_tag, note));
-            }
+      process_chunk(c, sc.data, plan.domain_requests, sc.service_s,
+                    partial_tag, !interrupted);
+      if (interrupted && c.length > 0) {
+        wreck = Wreck{k, std::move(batch)};
+        const std::span<const std::byte> note(&death_note, 1);
+        if (a2one) {
+          sends.push_back(comm.isend(obj.root, partial_tag, note));
+        } else {
+          for (const PartialRecord& rec : wreck->batch) {
+            sends.push_back(comm.isend(rec.origin, partial_tag, note));
           }
         }
-      } else {
-        process_chunk(c, chunk, plan.domain_requests, read_service,
-                      partial_tag, sends, true);
       }
-      if (csrc != nullptr) csrc->release();
+      csrc.release();
       // Blocking two-phase: only start the next read after this chunk is
       // fully processed.
       if (!interrupted && !pipelined && next_issue == k + 1 &&
@@ -1160,6 +1113,9 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     // Serve this iteration's chunks of every dead aggregator assigned to
     // this survivor: re-read the dead-domain chunk (the dead aggregator's
     // in-flight data is gone) and re-shuffle its partials under kAbsorbTag.
+    // Under staging the re-read enters this survivor's cache keyed by the
+    // dead domain's window with the absorbed request union — the extent
+    // re-validation keeps it from ever serving a key collision.
     if (serving_own && watch) {
       for (int d = 0; d < naggs; ++d) {
         if (agg_dead[static_cast<std::size_t>(d)] == 0 ||
@@ -1169,65 +1125,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         if (serving_index(d, k) != my_agg) continue;
         const pfs::ByteExtent c = plan.chunk(d, k);
         if (c.length == 0) continue;
-        if (ropt.source != nullptr) {
-          // Streamed absorb: the bytes never hit the PFS, so the dead
-          // domain's chunk is re-served by an auxiliary (non-subscribing)
-          // reader over the same topic — same extent union, same bytes.
-          std::unique_ptr<stage::ChunkSource> ar = ropt.source->aux();
-          ar->begin(c, absorbed[static_cast<std::size_t>(d)], false);
-          const double w0 = comm.wtime();
-          stage::SourceChunk ac;
-          {
-            TRACE_SPAN(comm.engine(), "cc", "absorb");
-            ac = ar->take();
-          }
-          stats.io_s += comm.wtime() - w0;
-          stats.bytes_read += ac.bytes_read;
-          stats.io_fallbacks += ac.fallbacks;
-          ++stats.absorbed_chunks;
-          fi->note_absorbed_chunk();
-          process_chunk(c, ac.data, absorbed[static_cast<std::size_t>(d)],
-                        ac.service_s, absorb_tag, sends, true);
-          ar->release();
-        } else if (ropt.staging != nullptr) {
-          // Staged absorb: the re-read enters this survivor's cache keyed
-          // by the dead domain's window with the absorbed request union —
-          // the extent re-validation keeps it from ever serving a key
-          // collision.
-          stage::StagedReader ar(*ropt.staging, fs, ds.file(),
-                                 hints.sieve_gap, fi);
-          ar.begin(c, absorbed[static_cast<std::size_t>(d)], false);
-          const double w0 = comm.wtime();
-          stage::StagedReader::Chunk ac;
-          {
-            TRACE_SPAN(comm.engine(), "cc", "absorb");
-            ac = ar.take();
-          }
-          stats.io_s += comm.wtime() - w0;
-          stats.bytes_read += ac.bytes_read;
-          stats.io_fallbacks += ac.fallbacks;
-          ++stats.absorbed_chunks;
-          fi->note_absorbed_chunk();
-          process_chunk(c, ac.data, absorbed[static_cast<std::size_t>(d)],
-                        ac.service_s, absorb_tag, sends, true);
-        } else {
-          romio::ChunkReader ar;
-          std::vector<std::byte> abuf;
-          ar.issue(fs, ds.file(), absorbed[static_cast<std::size_t>(d)], c,
-                   abuf, hints.sieve_gap, comm.wtime(), fi);
-          const double w0 = comm.wtime();
-          {
-            TRACE_SPAN(comm.engine(), "cc", "absorb");
-            ar.wait();
-          }
-          stats.io_s += comm.wtime() - w0;
-          stats.bytes_read += ar.bytes_read();
-          stats.io_fallbacks += ar.fallbacks();
-          ++stats.absorbed_chunks;
-          fi->note_absorbed_chunk();
-          process_chunk(c, abuf, absorbed[static_cast<std::size_t>(d)],
-                        ar.service_time(), absorb_tag, sends, true);
-        }
+        serve_dead_chunk(csrc, c, d, "absorb", absorb_tag);
       }
     }
 
@@ -1254,83 +1152,32 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     // unread messages stay queued under this attempt's tags, which no
     // resubmit ever reuses.
     if (watch) recover_slots(k);
-    if (a2one) {
-      if (i_am_root && !aborting) {
-        for (int a = 0; a < plan.aggregator_count(); ++a) {
-          if (plan.chunk(a, k).length == 0) continue;
-          recv_buf.resize(static_cast<std::size_t>(comm.size()) *
-                          sizeof(PartialRecord));
-          const auto [src, tag] = shuffle_source(a, k);
-          bool miss = false;
-          std::uint64_t nbytes = 0;
-          if (watch) {
-            try {
-              nbytes = comm.recv_ft(src, tag, recv_buf).bytes;
-              // A 1-byte payload is a role-death notice (real batches are
-              // multiples of 32 bytes, empty ones are 0 bytes).
-              if (nbytes == 1) miss = true;
-            } catch (const fault::Error& e) {
-              if (e.kind() != fault::Kind::rank_failed) throw;
-              miss = true;  // the serving process died before shipping
-            }
-          } else {
-            nbytes = comm.recv(src, tag, recv_buf).bytes;
-          }
-          if (miss) {
-            slot_log.push_back(SlotEntry{a, k, true, {}});
-            deferring = true;
-            continue;
-          }
-          const auto nrec = nbytes / sizeof(PartialRecord);
-          std::vector<PartialRecord> recs(nrec);
-          std::memcpy(recs.data(), recv_buf.data(),
-                      nrec * sizeof(PartialRecord));
-          if (deferring) {
-            slot_log.push_back(SlotEntry{a, k, false, std::move(recs)});
-          } else {
-            fold_records(recs);
-          }
-        }
-      }
-    } else if (!aborting) {
+    // The all_to_one root receives every slot's batch; an all_to_all rank
+    // receives its own record of every slot its request touches.
+    if (!aborting && (!a2one || i_am_root)) {
       for (int a = 0; a < plan.aggregator_count(); ++a) {
         const pfs::ByteExtent c = plan.chunk(a, k);
         if (c.length == 0) continue;
-        if (mine_req.bytes_in(c.offset, c.offset + c.length) == 0) continue;
-        const auto [src, tag] = shuffle_source(a, k);
-        PartialRecord rec;
-        bool miss = false;
-        if (watch) {
-          try {
-            const auto info = comm.recv_ft(
-                src, tag,
-                std::as_writable_bytes(std::span<PartialRecord>(&rec, 1)));
-            if (info.bytes == 1) miss = true;
-          } catch (const fault::Error& e) {
-            if (e.kind() != fault::Kind::rank_failed) throw;
-            miss = true;
-          }
-        } else {
-          comm.recv(src, tag,
-                    std::as_writable_bytes(std::span<PartialRecord>(&rec, 1)));
-        }
-        if (miss) {
-          slot_log.push_back(SlotEntry{a, k, true, {}});
-          deferring = true;
+        if (!a2one && mine_req.bytes_in(c.offset, c.offset + c.length) == 0) {
           continue;
         }
-        if (deferring) {
-          slot_log.push_back(SlotEntry{a, k, false, {rec}});
-        } else if (rec.has_value != 0) {
-          my_acc.combine_value(rec.value);
+        const auto [src, tag] = shuffle_source(a, k);
+        const auto recs = recv_slot(src, tag, slot_buf());
+        if (!recs) {
+          slot_log.push_back(SlotEntry{a, k, true, {}});
+          deferring = true;
+        } else if (deferring) {
+          slot_log.push_back(SlotEntry{
+              a, k, false,
+              std::vector<PartialRecord>(recs->begin(), recs->end())});
+        } else {
+          fold_records(*recs);
         }
       }
     }
     if (my_agg < 0) stats.shuffle_s += comm.wtime() - r0;
-    mpi::wait_all(sends);
-    shipped.clear();
+    settle_sends();
   }
-  stats.io_fallbacks += reader.fallbacks();
 
   // Final watch: a death (or interrupted slot) in the last iteration has no
   // following in-loop watch to announce it, so every rank settles here —
@@ -1338,12 +1185,10 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // runs before a partial window parks its mid-state: the parked
   // accumulators must already contain every recovered slot.
   if (watch) {
-    std::vector<mpi::Request> sends;
     do_watch(end_iter, ropt.epoch_base + 2 * end_iter + 1);
-    post_watch(sends);
+    post_watch();
     recover_slots(end_iter);
-    mpi::wait_all(sends);
-    shipped.clear();
+    settle_sends();
   }
 
   if (recover) {

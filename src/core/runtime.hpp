@@ -77,18 +77,19 @@ CcStats traditional_compute(mpi::Comm& comm, const ncio::Dataset& ds,
 /// are exactly these windows (each slice parks its accumulator state in
 /// `mid`, so interleaving jobs never changes any job's combine order).
 struct RunOptions {
-  /// Per-rank staging area (see src/stage/): aggregator chunk reads go
-  /// through its cache + prefetch pipeline, and replans invalidate the dead
-  /// domain. nullptr runs the unstaged path bit-identically to before.
+  /// Per-rank staging area (see src/stage/): aggregator chunk reads and
+  /// absorbs go through a StagedReader over its cache + prefetch pipeline,
+  /// and replans invalidate the dead domain. Cold make-ups read around the
+  /// cache. nullptr reads through a stage::PfsReader straight from the PFS.
   stage::StagingArea* staging = nullptr;
 
-  /// Per-rank chunk source overriding the PFS entirely (see src/stream/):
-  /// aggregator chunk reads — demand, absorb and cold make-up alike — are
-  /// served by this source, and the run brackets its consumed byte span
-  /// with source->prepare()/retire() on every rank. The map/shuffle/reduce
-  /// path is unchanged, so a source serving the file's bytes produces
-  /// bit-identical results. Takes precedence over `staging` for chunk
-  /// reads; nullptr keeps the PFS paths exactly as before.
+  /// Per-rank chunk source serving every aggregator chunk read — demand,
+  /// absorb and cold make-up alike (e.g. a stream::Reader, see
+  /// src/stream/) — in place of the runtime's own PfsReader or
+  /// StagedReader. The run brackets its consumed byte span with
+  /// source->prepare()/retire() on every rank. The map/shuffle/reduce path
+  /// does not depend on the source, so one serving the file's bytes yields
+  /// bit-identical results. Takes precedence over `staging`.
   stage::ChunkSource* source = nullptr;
 
   /// First aggregation iteration (chunk index) to execute. > 0 resumes a

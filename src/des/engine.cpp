@@ -50,13 +50,6 @@ void Engine::remove_trace_sink(TraceSink* sink) {
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
   auto& e = sink->engines_;
   e.erase(std::remove(e.begin(), e.end(), this), e.end());
-  if (legacy_listener_ == sink) legacy_listener_ = nullptr;
-}
-
-void Engine::set_cpu_listener(CpuListener* listener) {
-  if (legacy_listener_ != nullptr) remove_trace_sink(legacy_listener_);
-  legacy_listener_ = listener;
-  if (listener != nullptr) add_trace_sink(listener);
 }
 
 ActorHandle Engine::spawn(std::string name, int node,

@@ -96,11 +96,6 @@ class Engine {
   void add_trace_sink(TraceSink* sink);
   void remove_trace_sink(TraceSink* sink);
 
-  /// Legacy single-listener setter: replaces the sink installed by the
-  /// previous set_cpu_listener call (nullptr just clears it). Sinks attached
-  /// via add_trace_sink are unaffected.
-  void set_cpu_listener(CpuListener* listener);
-
   /// Number of events dispatched so far (for tests / sanity checks).
   std::uint64_t events_dispatched() const { return events_dispatched_; }
 
@@ -138,7 +133,6 @@ class Engine {
   std::vector<Fiber*> fiber_of_actor_;  // index: actor id
   int current_actor_ = -1;
   std::vector<TraceSink*> sinks_;
-  TraceSink* legacy_listener_ = nullptr;
   std::exception_ptr pending_exception_;
   std::function<void(const std::vector<int>&)> stall_handler_;
 };

@@ -1,10 +1,10 @@
 // TraceSink: the engine's observability seam.
 //
-// Generalizes the old CpuListener (which only saw CPU intervals) into the
-// interface every engine-level observer implements: CPU accounting intervals
-// plus actor lifecycle. Higher-level structured tracing (spans, counters,
-// flows — see src/trace/) consumes this seam for fiber run/block intervals
-// and adds its own layer-level events on top.
+// The interface every engine-level observer implements (the Figs. 2/3 CPU
+// profiler, the tracer): CPU accounting intervals plus actor lifecycle.
+// Higher-level structured tracing (spans, counters, flows — see src/trace/)
+// consumes this seam for fiber run/block intervals and adds its own
+// layer-level events on top.
 //
 // Sinks observe; they never schedule events or touch actor state, so an
 // attached sink cannot perturb virtual time. With no sinks attached the
@@ -51,9 +51,5 @@ class TraceSink {
   friend class Engine;
   std::vector<Engine*> engines_;  ///< engines currently holding this sink
 };
-
-/// Historical name: the profiler behind Figs. 2/3 was the first consumer of
-/// this seam, when it carried only CPU intervals.
-using CpuListener = TraceSink;
 
 }  // namespace colcom::des

@@ -17,7 +17,7 @@
 
 namespace colcom::prof {
 
-/// Install on an Engine (add_trace_sink / set_cpu_listener) before running;
+/// Install on an Engine (add_trace_sink) before running;
 /// read rows() afterwards.
 class CpuProfile final : public des::TraceSink {
  public:

@@ -654,6 +654,56 @@ ChunkSource::~ChunkSource() = default;
 void ChunkSource::prepare(std::uint64_t /*lo*/, std::uint64_t /*hi*/) {}
 void ChunkSource::retire(std::uint64_t /*lo*/, std::uint64_t /*hi*/) {}
 
+// --- PfsReader ---
+
+PfsReader::PfsReader(mpi::Comm& comm, pfs::Pfs& fs, pfs::FileId file,
+                     std::uint64_t sieve_gap, fault::Injector* chaos)
+    : comm_(&comm),
+      fs_(&fs),
+      file_(file),
+      sieve_gap_(sieve_gap),
+      chaos_(chaos) {
+  COLCOM_EXPECT(file.valid());
+}
+
+bool PfsReader::begin(pfs::ByteExtent chunk,
+                      const std::vector<romio::FlatRequest>& dreqs,
+                      bool /*speculative*/) {
+  COLCOM_EXPECT_MSG(begun_ - taken_ + (holding_ ? 1 : 0) < 2,
+                    "PfsReader holds at most two chunks (begun or taken)");
+  Slot& s = slots_[begun_ % 2];
+  s.fallbacks_before = s.reader.fallbacks();
+  s.reader.issue(*fs_, file_, dreqs, chunk, s.buf, sieve_gap_, comm_->wtime(),
+                 chaos_);
+  ++begun_;
+  return true;
+}
+
+SourceChunk PfsReader::take() {
+  COLCOM_EXPECT_MSG(!holding_, "take() without release() of the previous chunk");
+  COLCOM_EXPECT_MSG(taken_ < begun_, "take() with no begun fetch");
+  Slot& s = slots_[taken_ % 2];
+  ++taken_;
+  holding_ = true;
+  s.reader.wait();
+  SourceChunk out;
+  out.data = std::span<std::byte>(s.buf);
+  out.extents = std::span<const pfs::ByteExtent>(s.reader.extents());
+  out.service_s = s.reader.service_time();
+  out.bytes_read = s.reader.bytes_read();
+  out.fallbacks = s.reader.fallbacks() - s.fallbacks_before;
+  return out;
+}
+
+void PfsReader::release() {
+  COLCOM_EXPECT_MSG(holding_, "release() without take()");
+  holding_ = false;
+}
+
+std::unique_ptr<ChunkSource> PfsReader::aux() {
+  return std::make_unique<PfsReader>(*comm_, *fs_, file_, sieve_gap_, chaos_);
+}
+
 // --- StagedReader ---
 
 StagedReader::StagedReader(StagingArea& area, pfs::Pfs& fs, pfs::FileId file,

@@ -423,10 +423,11 @@ struct SourceChunk {
 
 /// The chunk-source seam of the collective-computing runtime: anything that
 /// can serve window-addressed chunk bytes behind the begin/take/release
-/// pipeline — the staged PFS reader below, or a stream::Reader fed by an
-/// in-transit producer (src/stream/). The runtime's map/shuffle/reduce path
-/// is source-agnostic, so results are bit-identical across sources that
-/// serve the same bytes.
+/// pipeline — the bare PfsReader and the staged StagedReader below, or a
+/// stream::Reader fed by an in-transit producer (src/stream/). Every chunk
+/// read of the runtime goes through this seam, and its map/shuffle/reduce
+/// path is source-agnostic, so results are bit-identical across sources
+/// that serve the same bytes.
 class ChunkSource {
  public:
   virtual ~ChunkSource();
@@ -457,6 +458,46 @@ class ChunkSource {
   /// the span was fully consumed. No-ops for PFS-backed sources.
   virtual void prepare(std::uint64_t lo, std::uint64_t hi);
   virtual void retire(std::uint64_t lo, std::uint64_t hi);
+};
+
+/// The unstaged source: every begin() issues a romio::ChunkReader demand
+/// read straight against the PFS into one of two recycled window buffers
+/// (the two-phase double buffer), so chunk k+2 lands in chunk k's buffer and
+/// nothing is cached, checksummed or allocated per chunk. It never refuses
+/// a begin() and ignores `speculative`; at most two chunks may be begun or
+/// held at once. An extent whose independent-read fallback is exhausted
+/// throws fault::Error from begin().
+class PfsReader : public ChunkSource {
+ public:
+  PfsReader(mpi::Comm& comm, pfs::Pfs& fs, pfs::FileId file,
+            std::uint64_t sieve_gap, fault::Injector* chaos);
+
+  bool begin(pfs::ByteExtent chunk,
+             const std::vector<romio::FlatRequest>& dreqs,
+             bool speculative) override;
+  /// Waits out the oldest begun read. `fallbacks` counts this chunk's
+  /// extent-level independent recoveries only.
+  SourceChunk take() override;
+  void release() override;
+  /// A fresh reader with its own two buffers.
+  std::unique_ptr<ChunkSource> aux() override;
+
+ private:
+  struct Slot {
+    romio::ChunkReader reader;
+    std::vector<std::byte> buf;
+    std::uint64_t fallbacks_before = 0;  ///< reader.fallbacks() at issue
+  };
+
+  mpi::Comm* comm_;
+  pfs::Pfs* fs_;
+  pfs::FileId file_;
+  std::uint64_t sieve_gap_;
+  fault::Injector* chaos_;
+  Slot slots_[2];            ///< fill order: begin() n uses slots_[n % 2]
+  std::uint64_t begun_ = 0;  ///< begin() calls so far
+  std::uint64_t taken_ = 0;  ///< take() calls so far
+  bool holding_ = false;
 };
 
 /// The prefetch pipeline over one file: begin() starts acquiring a chunk

@@ -38,10 +38,12 @@ TEST(Accumulator, BuiltinSumOverBuffer) {
 
 TEST(Accumulator, BuiltinMinMax) {
   std::vector<float> v{5.f, -2.f, 7.f, 0.f};
-  Accumulator mn(mpi::Op::min(), mpi::Prim::f32);
+  const auto min = mpi::Op::min();
+  Accumulator mn(min, mpi::Prim::f32);
   mn.combine(v.data(), v.size());
   EXPECT_EQ(mn.as<float>(), -2.f);
-  Accumulator mx(mpi::Op::max(), mpi::Prim::f32);
+  const auto max = mpi::Op::max();
+  Accumulator mx(max, mpi::Prim::f32);
   mx.combine(v.data(), v.size());
   EXPECT_EQ(mx.as<float>(), 7.f);
 }
@@ -50,9 +52,10 @@ TEST(Accumulator, IncrementalEqualsOneShot) {
   std::vector<double> v(1000);
   Prng rng(3);
   for (auto& x : v) x = rng.next_double();
-  Accumulator once(mpi::Op::sum(), mpi::Prim::f64);
+  const auto sum = mpi::Op::sum();
+  Accumulator once(sum, mpi::Prim::f64);
   once.combine(v.data(), v.size());
-  Accumulator chunks(mpi::Op::sum(), mpi::Prim::f64);
+  Accumulator chunks(sum, mpi::Prim::f64);
   for (std::size_t i = 0; i < v.size(); i += 7) {
     chunks.combine(v.data() + i, std::min<std::size_t>(7, v.size() - i));
   }
@@ -101,8 +104,8 @@ TEST(Accumulator, UserOpSingleAndTwoElements) {
 }
 
 TEST(Accumulator, MergeAndCombineValue) {
-  Accumulator a(mpi::Op::sum(), mpi::Prim::i32), b(mpi::Op::sum(),
-                                                   mpi::Prim::i32);
+  const auto sum = mpi::Op::sum();
+  Accumulator a(sum, mpi::Prim::i32), b(sum, mpi::Prim::i32);
   const std::int32_t x = 3, y = 4;
   a.combine_value(&x);
   b.combine_value(&y);

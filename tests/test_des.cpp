@@ -253,7 +253,7 @@ TEST(Engine, BlockAndWakeRoundTrip) {
 }
 
 TEST(Engine, CpuListenerReceivesIntervals) {
-  struct Rec : CpuListener {
+  struct Rec : TraceSink {
     std::vector<std::tuple<int, CpuKind, SimTime, SimTime>> intervals;
     void on_interval(int node, int, CpuKind kind, SimTime b,
                      SimTime en) override {
@@ -261,7 +261,7 @@ TEST(Engine, CpuListenerReceivesIntervals) {
     }
   } rec;
   Engine e;
-  e.set_cpu_listener(&rec);
+  e.add_trace_sink(&rec);
   e.spawn("a", 3, [&] {
     e.advance(1.0, CpuKind::user);
     e.advance(0.5, CpuKind::sys);

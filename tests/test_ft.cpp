@@ -172,7 +172,7 @@ constexpr int kProcs = 8;
 struct FtRun {
   double elapsed = 0;
   float value = 0;                     // root's global result
-  core::CcStats stats;                 // rank 0's stats
+  std::vector<core::CcStats> stats;    // per rank (finished ranks only)
   fault::FaultStats faults;            // whole-machine fault counters
   std::uint64_t total_bytes_read = 0;  // summed over every surviving rank
   std::vector<float> bcast;            // per-rank broadcast copy
@@ -182,10 +182,13 @@ struct FtRun {
 /// 8 ranks, a (64, 16, 16) f32 variable, 8 KB chunks — run_cc from
 /// test_fault_net with control-plane crash points installed. With
 /// cores_per_node=4 the aggregators are ranks 0 and 4; with 2 they are
-/// 0/2/4/6 (one per node).
+/// 0/2/4/6 (one per node). `pfs_source` hands each rank an explicit
+/// stage::PfsReader as RunOptions::source instead of the runtime's own;
+/// `tracer`, when given, observes the run.
 FtRun run_cc_ft(const std::vector<fault::CrashPoint>& points,
                 const std::vector<fault::ChaosEvent>& events = {},
-                fault::ChaosConfig chaos = {}, int cores_per_node = 4) {
+                fault::ChaosConfig chaos = {}, int cores_per_node = 4,
+                bool pfs_source = false, trace::Tracer* tracer = nullptr) {
   mpi::MachineConfig machine;
   machine.cores_per_node = cores_per_node;
   machine.pfs.n_osts = 4;
@@ -210,6 +213,8 @@ FtRun run_cc_ft(const std::vector<fault::CrashPoint>& points,
   FtRun res;
   res.bcast.assign(kProcs, 0);
   res.finished.assign(kProcs, 0);
+  res.stats.resize(kProcs);
+  if (tracer != nullptr) tracer->attach(rt.engine());
   rt.run([&](mpi::Comm& comm) {
     core::ObjectIO io;
     io.var = ds.var("v");
@@ -219,16 +224,32 @@ FtRun run_cc_ft(const std::vector<fault::CrashPoint>& points,
     io.op = mpi::Op::sum();
     io.hints.cb_buffer_size = 8192;
     core::CcOutput out;
-    const auto st = core::collective_compute(comm, ds, io, out);
+    core::CcStats st;
+    if (pfs_source) {
+      // collective_compute's own steps, with the source made explicit.
+      const double t0 = comm.wtime();
+      const auto mine = ds.slab_request(io.var, io.start, io.count);
+      const romio::Hints hints = core::detail::cc_hints(io, sizeof(float));
+      const romio::TwoPhasePlan plan = romio::build_plan(comm, mine, hints);
+      const double plan_s = comm.wtime() - t0;
+      stage::PfsReader src(comm, comm.runtime().fs(), ds.file(),
+                           hints.sieve_gap, comm.runtime().chaos());
+      core::RunOptions ropt;
+      ropt.source = &src;
+      st = core::collective_compute_with_plan(comm, ds, io, plan, out, ropt);
+      st.plan_s += plan_s;
+      st.total_s += plan_s;
+    } else {
+      st = core::collective_compute(comm, ds, io, out);
+    }
     const auto i = static_cast<std::size_t>(comm.rank());
     res.total_bytes_read += st.bytes_read;
     if (out.has_global) res.bcast[i] = out.global_as<float>();
     res.finished[i] = 1;
-    if (comm.rank() == 0) {
-      res.value = out.global_as<float>();
-      res.stats = st;
-    }
+    res.stats[i] = st;
+    if (comm.rank() == 0) res.value = out.global_as<float>();
   });
+  if (tracer != nullptr) tracer->detach();
   res.elapsed = rt.elapsed();
   if (rt.chaos() != nullptr) res.faults = rt.chaos()->stats();
   return res;
@@ -339,21 +360,26 @@ TEST(CcFt, CrashPointsComposeWithMessageLoss) {
 
 // ---------------- warm-partial recovery ----------------
 
-TEST(CcFt, WarmPartialIsBitIdenticalAndReadsFewerPfsBytes) {
-  const FtRun clean = run_cc_ft({});
-  // A timed role crash strikes rank 4 mid-iteration: the chunk it already
-  // mapped is parked and shipped to the absorbing survivor instead of
-  // being re-read from the PFS.
+/// A timed role crash strikes rank 4 mid-iteration: the chunk it already
+/// mapped is parked. With `warm` it ships to the absorbing survivor, which
+/// forwards the records; without, the survivor re-reads the chunk from the
+/// PFS (the cold make-up).
+FtRun run_mid_iteration_crash(bool warm, bool pfs_source = false,
+                              trace::Tracer* tracer = nullptr) {
   fault::ChaosEvent crash;
   crash.kind = fault::Kind::aggregator_crash;
   crash.subject = 4;
   crash.at = 2e-3;
-  fault::ChaosConfig warm_cfg;
-  warm_cfg.seed = chaos_seed();
-  const FtRun warm = run_cc_ft({}, {crash}, warm_cfg);
-  fault::ChaosConfig cold_cfg = warm_cfg;
-  cold_cfg.warm_partials = false;  // A/B: force the cold re-read path
-  const FtRun cold = run_cc_ft({}, {crash}, cold_cfg);
+  fault::ChaosConfig cfg;
+  cfg.seed = chaos_seed();
+  cfg.warm_partials = warm;
+  return run_cc_ft({}, {crash}, cfg, 4, pfs_source, tracer);
+}
+
+TEST(CcFt, WarmPartialIsBitIdenticalAndReadsFewerPfsBytes) {
+  const FtRun clean = run_cc_ft({});
+  const FtRun warm = run_mid_iteration_crash(true);
+  const FtRun cold = run_mid_iteration_crash(false);
 
   // Both recovery paths preserve the FP combine order exactly.
   EXPECT_EQ(std::memcmp(&warm.value, &clean.value, sizeof(float)), 0);
@@ -370,9 +396,52 @@ TEST(CcFt, WarmPartialIsBitIdenticalAndReadsFewerPfsBytes) {
   EXPECT_EQ(warm.total_bytes_read + warm.faults.warm_bytes_saved,
             cold.total_bytes_read);
 
-  const FtRun again = run_cc_ft({}, {crash}, warm_cfg);
+  const FtRun again = run_mid_iteration_crash(true);
   EXPECT_DOUBLE_EQ(warm.elapsed, again.elapsed);
   EXPECT_EQ(warm.faults.warm_records, again.faults.warm_records);
+}
+
+std::uint64_t total_shuffle_bytes(const FtRun& r) {
+  std::uint64_t n = 0;
+  for (const core::CcStats& s : r.stats) n += s.shuffle_bytes;
+  return n;
+}
+
+TEST(CcFt, ShuffleBytesCounterCountsWarmAndColdMakeUps) {
+  for (const bool warm : {true, false}) {
+    trace::Tracer tr;
+    const FtRun run = run_mid_iteration_crash(warm, false, &tr);
+    ASSERT_EQ(run.faults.warm_chunks > 0, warm);
+    // The traced counter sees every shipped byte, the warm make-up's
+    // re-served records included.
+    EXPECT_EQ(tr.metrics().counters().at("cc.shuffle_bytes").value(),
+              total_shuffle_bytes(run))
+        << (warm ? "warm" : "cold");
+  }
+}
+
+// An explicit stage::PfsReader as RunOptions::source is the runtime's own
+// unstaged path: main reads, absorbs and cold make-ups alike.
+TEST(CcFt, PfsReaderSourceReproducesTheDefaultRunBitForBit) {
+  auto expect_same = [](const FtRun& a, const FtRun& b, const char* what) {
+    EXPECT_EQ(a.elapsed, b.elapsed) << what;
+    EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof(float)), 0) << what;
+    for (int r = 0; r < kProcs; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_EQ(std::memcmp(&a.stats[i], &b.stats[i], sizeof(core::CcStats)),
+                0)
+          << what << " rank " << r;
+    }
+    EXPECT_EQ(a.faults.warm_chunks, b.faults.warm_chunks) << what;
+    EXPECT_EQ(a.faults.absorbed_chunks, b.faults.absorbed_chunks) << what;
+  };
+  expect_same(run_cc_ft({}), run_cc_ft({}, {}, {}, 4, true), "fault-free");
+  for (const bool warm : {true, false}) {
+    const FtRun def = run_mid_iteration_crash(warm);
+    const FtRun src = run_mid_iteration_crash(warm, true);
+    ASSERT_GT(def.faults.absorbed_chunks, 0u);
+    expect_same(def, src, warm ? "warm" : "cold");
+  }
 }
 
 // ---------------- fault.* metric cardinality ----------------

@@ -106,7 +106,7 @@ TEST(Integration, MultiVariableSequentialAnalyses) {
 TEST(Integration, CpuProfileSeesAnalysisCompute) {
   mpi::Runtime rt(small_machine(), 4);
   prof::CpuProfile profile(0.01);
-  rt.engine().set_cpu_listener(&profile);
+  rt.engine().add_trace_sink(&profile);
   auto ds = ncio::DatasetBuilder(rt.fs(), "d.nc")
                 .add_generated_var<float>(
                     "v", {64, 128},

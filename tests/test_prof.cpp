@@ -89,7 +89,7 @@ TEST(CpuProfile, IndependentWaitsMoreThanCollective) {
     cfg.pfs.stripe_size = 4096;
     mpi::Runtime rt(cfg, 8);
     auto profile = std::make_unique<CpuProfile>(0.01);
-    rt.engine().set_cpu_listener(profile.get());
+    rt.engine().add_trace_sink(profile.get());
     auto file = rt.fs().create(
         "f", std::make_unique<pfs::GeneratorStore>(
                  4 << 20, [](std::uint64_t, std::span<std::byte> d) {

@@ -6,6 +6,7 @@
 // CollectiveIo::write_all), and the CHK-IO staged-overlap rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -546,6 +547,139 @@ TEST(Staging, OverlappingWriteDuringInFlightFetchIsNotCached) {
     EXPECT_EQ(std::memcmp(post.data.data(), fresh.data(), fresh.size()), 0);
     sr.release();
     EXPECT_EQ(sa.stats().stale_fetches, 1u);
+  });
+}
+
+// ---------------- PfsReader: the unstaged ChunkSource ----------------
+
+constexpr std::uint64_t kChunk = 4096;
+
+/// 64 KB whose 4 KB chunks all differ (byte j of chunk k is 31 j + k).
+std::vector<std::byte> pattern_bytes() {
+  std::vector<std::byte> v(1 << 16);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::byte>((i * 31 + i / kChunk) & 0xff);
+  }
+  return v;
+}
+
+/// A file of pattern_bytes(); whole_file_request() has one rank read it all.
+pfs::FileId make_pattern_file(mpi::Runtime& rt) {
+  auto file = rt.fs().create("pfs", std::make_unique<pfs::MemStore>(1 << 16));
+  rt.fs().store(file).write(0, pattern_bytes());
+  return file;
+}
+
+std::vector<romio::FlatRequest> whole_file_request() {
+  std::vector<romio::FlatRequest> dreqs;
+  dreqs.push_back(romio::FlatRequest({{0, 1 << 16}}));
+  return dreqs;
+}
+
+pfs::ByteExtent chunk_at(std::uint64_t k) {
+  return pfs::ByteExtent{k * kChunk, kChunk};
+}
+
+bool holds_chunk(const stage::SourceChunk& sc, std::uint64_t k) {
+  const auto want = pattern_bytes();
+  return sc.data.size() == kChunk &&
+         std::memcmp(sc.data.data(), want.data() + k * kChunk, kChunk) == 0;
+}
+
+TEST(PfsReader, TakesInFifoOrderAndRecyclesTwoBuffers) {
+  mpi::Runtime rt(small_machine(), 1);
+  const auto file = make_pattern_file(rt);
+  const auto dreqs = whole_file_request();
+  rt.run([&](mpi::Comm& c) {
+    stage::PfsReader rd(c, rt.fs(), file, 0, nullptr);
+    // Two begun chunks come back in begin order.
+    EXPECT_TRUE(rd.begin(chunk_at(0), dreqs, false));
+    EXPECT_TRUE(rd.begin(chunk_at(1), dreqs, true));
+    const auto c0 = rd.take();
+    EXPECT_TRUE(holds_chunk(c0, 0));
+    EXPECT_EQ(c0.bytes_read, kChunk);
+    EXPECT_GT(c0.service_s, 0.0);
+    rd.release();
+    const auto c1 = rd.take();
+    EXPECT_TRUE(holds_chunk(c1, 1));
+    // begin() while a chunk is held, as the runtime's k+1 prefetch does.
+    EXPECT_TRUE(rd.begin(chunk_at(2), dreqs, true));
+    EXPECT_TRUE(holds_chunk(c1, 1));  // the held bytes stay put
+    rd.release();
+    const auto c2 = rd.take();
+    EXPECT_TRUE(holds_chunk(c2, 2));
+    // Chunk k+2 lands in chunk k's buffer: nothing is allocated per chunk.
+    EXPECT_EQ(c2.data.data(), c0.data.data());
+    EXPECT_NE(c1.data.data(), c0.data.data());
+    rd.release();
+  });
+}
+
+TEST(PfsReader, ReportsFallbacksPerTake) {
+  // Every extent's first attempt that rolls a transient fault exhausts the
+  // retry budget and degrades to an independent re-read. The oracle is a
+  // fresh romio::ChunkReader per chunk over the same request sequence.
+  auto per_chunk = [](bool pfs_reader) {
+    auto cfg = small_machine();
+    cfg.pfs.transient_fail_prob = 0.3;
+    cfg.pfs.retry_delay_s = 1e-4;
+    cfg.pfs.max_retries = 0;
+    mpi::Runtime rt(cfg, 1);
+    const auto file = make_pattern_file(rt);
+    const auto dreqs = whole_file_request();
+    std::vector<std::uint64_t> fallbacks;
+    bool bytes_ok = true;
+    rt.run([&](mpi::Comm& c) {
+      stage::PfsReader rd(c, rt.fs(), file, 0, nullptr);
+      for (std::uint64_t k = 0; k < 16; ++k) {
+        if (pfs_reader) {
+          rd.begin(chunk_at(k), dreqs, false);
+          const auto sc = rd.take();
+          bytes_ok = bytes_ok && holds_chunk(sc, k);
+          fallbacks.push_back(sc.fallbacks);
+          rd.release();
+        } else {
+          romio::ChunkReader cr;
+          std::vector<std::byte> buf;
+          cr.issue(rt.fs(), file, dreqs, chunk_at(k), buf, 0, c.wtime());
+          cr.wait();
+          fallbacks.push_back(cr.fallbacks());
+        }
+      }
+    });
+    EXPECT_TRUE(bytes_ok);
+    return fallbacks;
+  };
+  const auto got = per_chunk(true);
+  EXPECT_EQ(got, per_chunk(false));
+  // At least two chunks degrade, so a running total would differ from the
+  // per-take counts.
+  EXPECT_GE(std::count_if(got.begin(), got.end(),
+                          [](std::uint64_t n) { return n > 0; }),
+            2);
+}
+
+TEST(PfsReader, AuxReaderIsIndependentOfItsParent) {
+  mpi::Runtime rt(small_machine(), 1);
+  const auto file = make_pattern_file(rt);
+  const auto dreqs = whole_file_request();
+  rt.run([&](mpi::Comm& c) {
+    stage::PfsReader rd(c, rt.fs(), file, 0, nullptr);
+    rd.begin(chunk_at(0), dreqs, false);
+    rd.begin(chunk_at(1), dreqs, true);
+    const auto held = rd.take();
+    // The parent holds one chunk and has another in flight — its limit —
+    // yet the aux reader begins, takes and releases on its own buffers.
+    const auto aux = rd.aux();
+    ASSERT_TRUE(aux->begin(chunk_at(7), dreqs, false));
+    const auto side = aux->take();
+    EXPECT_TRUE(holds_chunk(side, 7));
+    EXPECT_NE(side.data.data(), held.data.data());
+    aux->release();
+    EXPECT_TRUE(holds_chunk(held, 0));
+    rd.release();
+    EXPECT_TRUE(holds_chunk(rd.take(), 1));
+    rd.release();
   });
 }
 
