@@ -2,8 +2,8 @@
 # CI driver: project lint -> configure -> build -> clang-tidy gate (hard
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict), then an
-# optional -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests and
-# the core/stage/stream data-plane suites, a budgeted
+# optional -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests, the
+# core/stage/stream data-plane suites and the svc service suite, a budgeted
 # CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
 # fault suites under the sanitizers with several seeds — also under the
 # correctness checker.
@@ -242,15 +242,20 @@ if [[ $SANITIZE -eq 1 ]]; then
   step "sanitizer build (-Werror + ASan/UBSan)"
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" \
     --target test_des test_mpi_comm test_trace test_prof \
-    test_core test_stage test_stream
+    test_core test_stage test_stream test_svc
 
   # test_des switches a thousand fibers and unwinds one while others stay
   # suspended; test_mpi_comm drives the matcher against its reference model
   # and reduces misaligned payload operands (fatal UBSan). test_core,
   # test_stage and test_stream drive every ChunkSource of the runtime: the
   # PfsReader's recycled buffers and the spans into cached and streamed
-  # chunks must never be read after their release.
-  step "sanitizer run (des + mpi + trace + prof + data-plane tests)"
+  # chunks must never be read after their release. test_svc runs many
+  # tenants' slices over one shared staging area per rank. Park sends leave
+  # a non-writer's slot buffer in flight until its next park; the chaos
+  # stage's test_svc_recovery and ext_soak runs park under ASan with
+  # COLCOM_CHECK=1, whose send-buffer check reads that buffer when the send
+  # is settled, so a buffer freed or reused early fails there.
+  step "sanitizer run (des + mpi + trace + prof + data-plane + svc tests)"
   sanitizer_env
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_des"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_mpi_comm"
@@ -259,6 +264,7 @@ if [[ $SANITIZE -eq 1 ]]; then
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_core"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_stage"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_stream"
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_svc"
 
   # CHK-EXPLORE: bounded-budget schedule exploration of the 4-rank
   # ft-agreement and svc resubmit-from-mid worlds, plus the seeded-bug

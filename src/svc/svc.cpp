@@ -43,6 +43,14 @@ void audit_decision(int rank, const char* kind,
 /// beyond any realistic tenant count.
 constexpr std::uint64_t kPassScale = 1ull << 16;
 
+/// Parked-mid slots travel to the park writer under this tag.
+constexpr int kParkTag = -2700;
+
+[[maybe_unused]] const bool kTagsRegistered = [] {
+  check::register_tag(kParkTag, "svc.park");
+  return true;
+}();
+
 /// Base of the service's agreement-epoch space. The runtime's legacy
 /// in-run epochs are tiny (2 * n_iters + 2) and stage flush groups live at
 /// (1 << 20) + seq, so starting the per-attempt blocks here keeps every
@@ -468,24 +476,85 @@ std::uint64_t ServiceContext::park_slot_bytes() const {
   return (worst + 63) / 64 * 64;
 }
 
+void ServiceContext::settle_park_send() {
+  if (!park_send_.valid()) return;
+  try {
+    park_send_.wait();
+  } catch (const fault::Error&) {
+    // The wire ate the slot past its retransmit budget; the writer skipped
+    // it and the slot keeps its earlier bytes. The in-memory mid, not the
+    // park, drives recovery, so a lost durability copy fails nothing — it
+    // only shows in the trace.
+    if (trace::Tracer* tr = trace::Tracer::current(); tr != nullptr) {
+      tr->instant(trace::Track::ranks, comm_->rank(), "svc",
+                  "svc.park_slot_lost", comm_->wtime());
+    }
+  }
+  park_send_ = mpi::Request{};
+}
+
 void ServiceContext::persist_mid(const Job& j) {
-  // Checkpoint persistence: each rank overwrites its fixed
-  // per-(job, rank) slot with the length-prefixed parked mid through the
-  // staging area's write-behind, so the park rides the same coalescing and
-  // flush paths as any application checkpoint.
+  // Checkpoint persistence with the two-phase idea applied to the park:
+  // one writer gathers every alive rank's length-prefixed mid into a
+  // zeroed image of the job's slots and stages it through write-behind as
+  // one extent, so a slice costs one PFS request instead of one small
+  // request per rank. The writer is the highest rank alive by the last
+  // outcome agreement — replicated state, so every rank names the same
+  // one. Default placement takes the first rank of each node as an
+  // aggregator and rank 0 as the all_to_one root, so unless every rank
+  // aggregates the writer's receives stay off the next slice's critical
+  // path. Non-writers do not wait for their send here.
   const std::uint64_t cap = park_slot_bytes();
   const std::uint64_t len = j.mid.size();
   COLCOM_EXPECT_MSG(8 + len <= cap, "parked mid exceeds its park-file slot");
-  std::vector<std::byte> img(cap, std::byte{0});
-  std::memcpy(img.data(), &len, sizeof(len));
-  std::memcpy(img.data() + 8, j.mid.data(), len);
-  const std::uint64_t slot =
-      (static_cast<std::uint64_t>(j.id) *
-           static_cast<std::uint64_t>(comm_->size()) +
-       static_cast<std::uint64_t>(comm_->rank())) *
-      cap;
-  staging_->wb_write(cfg_.park, cfg_.park_offset + slot, img);
+  const int nprocs = comm_->size();
+  const auto dead = [this](int r) {
+    const auto w = static_cast<std::size_t>(r) / 64;
+    return w < dead_.size() && ((dead_[w] >> (r % 64)) & 1u) != 0;
+  };
+  int writer = nprocs - 1;
+  while (dead(writer)) --writer;
+  audit_decision(comm_->rank(), "svc.park",
+                 {{"job", j.id}, {"writer", writer}});
   bump_metric("svc.mid_parks");
+  const auto pack = [&](std::byte* dst) {
+    std::memcpy(dst, &len, sizeof(len));
+    std::memcpy(dst + 8, j.mid.data(), len);
+  };
+  settle_park_send();
+  if (comm_->rank() != writer) {
+    park_out_.resize(8 + len);
+    pack(park_out_.data());
+    park_send_ = comm_->isend(writer, kParkTag, park_out_);
+    return;
+  }
+  const auto slot = [cap](int r) { return static_cast<std::size_t>(r) * cap; };
+  std::vector<std::byte> img(slot(nprocs), std::byte{0});
+  pack(img.data() + slot(writer));
+  std::vector<char> have(static_cast<std::size_t>(nprocs), 0);
+  have[static_cast<std::size_t>(writer)] = 1;
+  for (int r = 0; r < writer; ++r) {
+    if (dead(r)) continue;
+    try {
+      comm_->recv_ft(r, kParkTag, std::span(img.data() + slot(r), cap));
+    } catch (const fault::Error&) {
+      continue;  // died since the agreement, or its slot was lost on the wire
+    }
+    have[static_cast<std::size_t>(r)] = 1;
+  }
+  // One extent per run of slots that arrived; every other slot keeps what
+  // its rank last parked.
+  const std::uint64_t base =
+      cfg_.park_offset + static_cast<std::uint64_t>(j.id) * slot(nprocs);
+  for (int a = 0; a < nprocs;) {
+    int b = a;
+    while (b < nprocs && have[static_cast<std::size_t>(b)] != 0) ++b;
+    if (b > a) {
+      staging_->wb_write(cfg_.park, base + slot(a),
+                         std::span(img.data() + slot(a), slot(b) - slot(a)));
+    }
+    a = b + 1;
+  }
 }
 
 void ServiceContext::fail_job(Job& j, FailReason r) {
@@ -635,6 +704,7 @@ void ServiceContext::run_slice(Job& j) {
     }
     m[1 + static_cast<std::size_t>(comm_->rank())] = to_nanos(comm_->wtime());
     const mpi::ft::Verdict v = mpi::ft::agree(*comm_, m, outcome_epoch);
+    dead_ = v.dead;
     const double prev_now = agreed_now_;
     for (std::size_t r = 1; r < v.mask.size(); ++r) {
       agreed_now_ =
@@ -743,6 +813,7 @@ void ServiceContext::run_all() {
                     {"slice", j->slices + 1}});
     run_slice(*j);
   }
+  settle_park_send();
 }
 
 JobState ServiceContext::state(JobId id) const { return job_at(id).st; }

@@ -123,10 +123,13 @@ struct ServiceConfig {
   /// doomed job never consumes slices other tenants could use.
   bool shed_infeasible = true;
   /// Checkpoint persistence of parked mids: when `park` is valid, every
-  /// non-closing successful slice writes the job's parked mid through the
-  /// staging area's write-behind into a fixed per-(job, rank) slot of this
-  /// file at `park_offset`. The file must be large enough for
-  /// jobs * ranks slots (see docs/SERVICE.md).
+  /// non-closing successful slice persists the job's parked mids into
+  /// fixed per-(job, rank) slots of this file at `park_offset`, as one
+  /// aggregated write-behind write per slice (one per run of alive ranks
+  /// after a shrink). The file must hold jobs * ranks slots; parks are
+  /// durable once the writer's staging area is flushed. Slot layout,
+  /// writer choice and dead ranks' slots: "Parked mids on disk" in
+  /// docs/SERVICE.md.
   pfs::FileId park{};
   std::uint64_t park_offset = 0;
 };
@@ -311,8 +314,12 @@ class ServiceContext {
   bool recovery_active() const;
   /// Merges every rank's clock into agreed_now_ (collective).
   void sync_clock();
-  /// Writes `j`'s parked mid into its per-(job, rank) park-file slot.
+  /// Persists `j`'s parked mids (collective over the alive ranks): each
+  /// rank sends its length-prefixed mid to the park writer, which stages
+  /// the job's slots as one write-behind extent per run of alive ranks.
   void persist_mid(const Job& j);
+  /// Completes this rank's in-flight slot send to the park writer, if any.
+  void settle_park_send();
   std::uint64_t park_slot_bytes() const;
   /// True on the lowest *alive* rank — the metrics/fault-stats reporter.
   /// Plain rank 0 would lose every svc.* count the moment the root dies,
@@ -348,6 +355,17 @@ class ServiceContext {
   /// 0 until the first agreed slice. Drives feasibility shedding.
   double ema_iter_s_ = 0;
   bool deadline_mode_ = false;  ///< any submitted job carries an SLO
+  /// Death bits (one per world rank) of the last slice-outcome agreement;
+  /// empty without recovery, where no rank dies. Parks name their writer
+  /// from it, so every rank picks the same one.
+  std::vector<std::uint64_t> dead_;
+
+  // --- park traffic (this rank's own) ---
+  /// The slot this rank last sent to the park writer. It must stay
+  /// untouched until park_send_ completes, at the next park or at the end
+  /// of run_all.
+  std::vector<std::byte> park_out_;
+  mpi::Request park_send_;
 };
 
 /// Single-query convenience: a one-job service — submit, drain, return the

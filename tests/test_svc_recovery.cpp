@@ -10,6 +10,7 @@
 // COLCOM_CHECK=1 over this suite (see scripts/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -28,6 +29,9 @@ namespace colcom {
 namespace {
 
 constexpr int kProcs = 8;
+/// ServiceContext::park_slot_bytes() at kProcs ranks: an 8-byte length
+/// prefix plus the worst-case mid, rounded up to 64 bytes.
+constexpr std::uint64_t kSlot = (8 + 24 + 24 * kProcs + 63) / 64 * 64;
 
 /// CI sweeps several seeds: COLCOM_CHAOS_SEED overrides the default.
 std::uint64_t chaos_seed() {
@@ -96,6 +100,66 @@ float solo_value(const Slab& q) {
   return v;
 }
 
+/// One write the park file received, in issue order.
+struct ParkWrite {
+  std::uint64_t offset = 0;
+  std::vector<std::byte> bytes;
+};
+
+/// Forwards to the wrapped store and logs every write; installed under the
+/// park file with Pfs::wrap_store.
+class RecordingStore final : public pfs::Store {
+ public:
+  RecordingStore(std::unique_ptr<pfs::Store> inner,
+                 std::vector<ParkWrite>* log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  void read(std::uint64_t offset, std::span<std::byte> dst) const override {
+    inner_->read(offset, dst);
+  }
+  void write(std::uint64_t offset, std::span<const std::byte> src) override {
+    log_->push_back({offset, {src.begin(), src.end()}});
+    inner_->write(offset, src);
+  }
+  std::uint64_t size() const override { return inner_->size(); }
+
+ private:
+  std::unique_ptr<pfs::Store> inner_;
+  std::vector<ParkWrite>* log_;
+};
+
+/// A park file in `rt` whose writes land in `log`.
+pfs::FileId make_park(mpi::Runtime& rt, std::vector<ParkWrite>& log) {
+  const pfs::FileId id =
+      rt.fs().create("park", std::make_unique<pfs::MemStore>(1 << 20));
+  rt.fs().wrap_store(id, [&log](std::unique_ptr<pfs::Store> s) {
+    return std::make_unique<RecordingStore>(std::move(s), &log);
+  });
+  return id;
+}
+
+/// Slot `rank` of job `job`: the length prefix, in (0, kSlot - 8] once the
+/// rank has parked, then the mid, then zero padding.
+struct Slot {
+  std::uint64_t len = 0;
+  bool zero_padded = false;
+};
+
+Slot read_slot(std::span<const std::byte> park, int job, int rank) {
+  const auto at = (static_cast<std::size_t>(job) * kProcs +
+                   static_cast<std::size_t>(rank)) *
+                  kSlot;
+  Slot s;
+  std::memcpy(&s.len, park.data() + at, sizeof(s.len));
+  const std::size_t used = 8 + std::min<std::uint64_t>(s.len, kSlot - 8);
+  s.zero_padded = std::all_of(park.begin() + static_cast<std::ptrdiff_t>(
+                                                 at + used),
+                              park.begin() + static_cast<std::ptrdiff_t>(
+                                                 at + kSlot),
+                              [](std::byte b) { return b == std::byte{0}; });
+  return s;
+}
+
 struct JobDef {
   Slab slab;
   int tenant = 0;
@@ -111,15 +175,19 @@ struct RecRun {
   svc::ServiceStats stats;
   fault::FaultStats faults;
   double elapsed = 0;
+  /// The park file's slots after the run (with a park log only).
+  std::vector<std::byte> park;
 };
 
 /// Runs a service over `jobs` with `crashes` installed as chaos crash
 /// points; collects results on `collect_rank` (pass a survivor when the
 /// root is among the dead — state/stats are replicated, output is not).
+/// A non-null `park_log` parks mids into a park file whose writes it logs.
 RecRun run_service(const svc::ServiceConfig& cfg,
                    const std::vector<JobDef>& jobs,
                    const std::vector<fault::CrashPoint>& crashes = {},
-                   int collect_rank = 0) {
+                   int collect_rank = 0,
+                   std::vector<ParkWrite>* park_log = nullptr) {
   mpi::Runtime rt(four_node_machine(), kProcs);
   if (!crashes.empty()) {
     fault::ChaosConfig cc;
@@ -130,13 +198,15 @@ RecRun run_service(const svc::ServiceConfig& cfg,
   }
   auto ds = make_ds(rt.fs());
   const auto n = jobs.size();
+  svc::ServiceConfig scfg = cfg;
+  if (park_log != nullptr) scfg.park = make_park(rt, *park_log);
   RecRun res;
   res.res.resize(n);
   res.st.resize(n, svc::JobState::queued);
   res.value.resize(n, 0.0f);
   res.slices.resize(n, 0);
   rt.run([&](mpi::Comm& c) {
-    svc::ServiceContext sc(c, cfg);
+    svc::ServiceContext sc(c, scfg);
     const int d = sc.register_dataset(ds);
     std::vector<svc::JobId> ids;
     for (const auto& jd : jobs) {
@@ -150,6 +220,7 @@ RecRun run_service(const svc::ServiceConfig& cfg,
       ids.push_back(sc.submit(std::move(s)));
     }
     sc.run_all();
+    if (park_log != nullptr) sc.staging().wb_flush();
     if (c.rank() != collect_rank) return;
     for (std::size_t i = 0; i < n; ++i) {
       res.res[i] = sc.result(ids[i]);
@@ -163,6 +234,10 @@ RecRun run_service(const svc::ServiceConfig& cfg,
   });
   res.elapsed = rt.elapsed();
   if (rt.chaos() != nullptr) res.faults = rt.chaos()->stats();
+  if (park_log != nullptr) {
+    res.park.resize(n * kProcs * kSlot);
+    rt.fs().store(scfg.park).read(0, res.park);
+  }
   return res;
 }
 
@@ -461,12 +536,12 @@ TEST(SvcRecovery, RecoveryRunsAreDeterministic) {
 TEST(SvcRecovery, ParkedMidsPersistThroughWriteBehind) {
   mpi::Runtime rt(four_node_machine(), kProcs);
   auto ds = make_ds(rt.fs());
-  auto park =
-      rt.fs().create("park", std::make_unique<pfs::MemStore>(1 << 20));
-  std::uint64_t dirty_after_flush = 1;
-  std::size_t pinned_after = 1;
-  std::uint64_t slot_len = 0;
-  std::uint64_t cap = 0;
+  std::vector<ParkWrite> writes;
+  const pfs::FileId park = make_park(rt, writes);
+  const std::vector<Slab> slabs = {Slab{"v", 0, 64}, Slab{"u", 0, 64}};
+  std::vector<std::uint64_t> dirty(kProcs, 1);
+  std::vector<std::size_t> pinned(kProcs, 1);
+  std::size_t parks = 0;  ///< non-closing slices
   rt.run([&](mpi::Comm& c) {
     svc::ServiceConfig cfg;
     cfg.max_concurrent = 1;
@@ -474,27 +549,144 @@ TEST(SvcRecovery, ParkedMidsPersistThroughWriteBehind) {
     cfg.park = park;
     svc::ServiceContext sc(c, cfg);
     const int d = sc.register_dataset(ds);
-    svc::JobSpec s;
-    s.name = "parked";
-    s.dataset = d;
-    s.io = make_io(ds, Slab{"v", 0, 64}, c.rank());
-    const svc::JobId id = sc.submit(std::move(s));
+    std::vector<svc::JobId> ids;
+    for (const Slab& q : slabs) {
+      svc::JobSpec s;
+      s.name = "parked";
+      s.dataset = d;
+      s.io = make_io(ds, q, c.rank());
+      ids.push_back(sc.submit(std::move(s)));
+    }
     sc.run_all();
+    // Parks are durable once the writer's write-behind is flushed; every
+    // rank flushes its own area, as any checkpointing application would.
     sc.staging().wb_flush();
+    const auto me = static_cast<std::size_t>(c.rank());
+    dirty[me] = sc.staging().wb_dirty_bytes();
+    pinned[me] = sc.staging().cache().pinned_entries();
     if (c.rank() != 0) return;
-    EXPECT_EQ(sc.state(id), svc::JobState::done);
-    dirty_after_flush = sc.staging().wb_dirty_bytes();
-    pinned_after = sc.staging().cache().pinned_entries();
-    cap = (8 + 24 + 24ull * kProcs + 63) / 64 * 64;
-    // Rank 0's slot of job 0 holds the last parked mid, length-prefixed.
-    std::vector<std::byte> hdr(8);
-    rt.fs().read(park, 0, hdr);
-    std::memcpy(&slot_len, hdr.data(), sizeof(slot_len));
+    for (const svc::JobId id : ids) {
+      EXPECT_EQ(sc.state(id), svc::JobState::done);
+      parks += static_cast<std::size_t>(sc.slices_run(id) - 1);
+    }
   });
-  EXPECT_EQ(dirty_after_flush, 0u);
-  EXPECT_EQ(pinned_after, 0u);
-  EXPECT_GT(slot_len, 0u);
-  EXPECT_LE(slot_len, cap - 8);
+  for (int r = 0; r < kProcs; ++r) {
+    EXPECT_EQ(dirty[static_cast<std::size_t>(r)], 0u) << "rank " << r;
+    EXPECT_EQ(pinned[static_cast<std::size_t>(r)], 0u) << "rank " << r;
+  }
+  // One aggregated write per parking slice: each job's image of kProcs
+  // slots lies inside one 8 KiB stripe, so a park touches one stripe and
+  // is one write — not one small write per rank.
+  ASSERT_GT(parks, 0u);
+  EXPECT_EQ(writes.size(), parks);
+  for (const ParkWrite& w : writes) {
+    EXPECT_EQ(w.bytes.size(), kProcs * kSlot);
+    EXPECT_EQ(w.offset % (kProcs * kSlot), 0u);
+  }
+  std::vector<std::byte> img(slabs.size() * kProcs * kSlot);
+  rt.fs().store(park).read(0, img);
+  for (int job = 0; job < static_cast<int>(slabs.size()); ++job) {
+    for (int r = 0; r < kProcs; ++r) {
+      const Slot s = read_slot(img, job, r);
+      EXPECT_GT(s.len, 0u) << "job " << job << " rank " << r;
+      EXPECT_LE(s.len, kSlot - 8) << "job " << job << " rank " << r;
+      EXPECT_TRUE(s.zero_padded) << "job " << job << " rank " << r;
+    }
+  }
+}
+
+/// Park-file invariants of a one-job run in which `dead` ranks died
+/// mid-job: parks before the deaths cover every slot; a park on the
+/// shrunken world follows, rewriting every survivor's slot and no dead
+/// rank's, whose slot keeps the bytes it last parked.
+void expect_parks_survive_deaths(const std::vector<ParkWrite>& writes,
+                                 std::span<const std::byte> park,
+                                 const std::vector<int>& dead) {
+  const auto covers = [](const ParkWrite& w, int r) {
+    const std::uint64_t at = static_cast<std::uint64_t>(r) * kSlot;
+    return w.offset <= at && at + kSlot <= w.offset + w.bytes.size();
+  };
+  const auto misses_dead = [&](const ParkWrite& w) {
+    return std::none_of(dead.begin(), dead.end(),
+                        [&](int r) { return covers(w, r); });
+  };
+  const auto shrunk = std::find_if(writes.begin(), writes.end(), misses_dead);
+  ASSERT_NE(shrunk, writes.begin()) << "no park before the deaths";
+  ASSERT_NE(shrunk, writes.end()) << "no park on the shrunken world";
+  for (auto w = writes.begin(); w != shrunk; ++w) {
+    EXPECT_EQ(w->offset, 0u);
+    EXPECT_EQ(w->bytes.size(), kProcs * kSlot);
+  }
+  EXPECT_TRUE(std::all_of(shrunk, writes.end(), misses_dead))
+      << "a park after the deaths rewrote a dead rank's slot";
+  for (int r = 0; r < kProcs; ++r) {
+    const bool is_dead = std::count(dead.begin(), dead.end(), r) > 0;
+    const auto last = std::find_if(writes.rbegin(), writes.rend(),
+                                   [&](const ParkWrite& w) {
+                                     return covers(w, r);
+                                   });
+    ASSERT_NE(last, writes.rend()) << "rank " << r << " never parked";
+    if (!is_dead) {
+      EXPECT_TRUE(std::any_of(shrunk, writes.end(),
+                              [&](const ParkWrite& w) {
+                                return covers(w, r);
+                              }))
+          << "survivor " << r << "'s slot was not updated after the deaths";
+      continue;
+    }
+    // The dead rank's slot holds exactly what it parked before dying.
+    const std::uint64_t at = static_cast<std::uint64_t>(r) * kSlot;
+    const auto from =
+        last->bytes.begin() + static_cast<std::ptrdiff_t>(at - last->offset);
+    EXPECT_TRUE(std::equal(from, from + static_cast<std::ptrdiff_t>(kSlot),
+                           park.begin() + static_cast<std::ptrdiff_t>(at)))
+        << "dead rank " << r << "'s slot lost its earlier bytes";
+  }
+  for (int r = 0; r < kProcs; ++r) {
+    const Slot s = read_slot(park, 0, r);
+    EXPECT_GT(s.len, 0u) << "rank " << r;
+    EXPECT_LE(s.len, kSlot - 8) << "rank " << r;
+    EXPECT_TRUE(s.zero_padded) << "rank " << r;
+  }
+}
+
+TEST(SvcRecovery, ParksOnShrunkenWorldKeepDeadRanksSlots) {
+  svc::ServiceConfig cfg;
+  cfg.policy = svc::Policy::fifo;
+  cfg.max_concurrent = 1;
+  cfg.slice_iters = 1;
+  const std::vector<JobDef> jobs = {{Slab{"v", 0, 64}}};
+  const float solo = solo_value(jobs[0].slab);
+  // The absorber choreography aborts the third slice; its resubmit on the
+  // shrunken world parks again with ranks 2 and 4 dead.
+  std::vector<ParkWrite> writes;
+  const RecRun r = run_service(cfg, jobs, absorber_death(), 0, &writes);
+  ASSERT_EQ(r.st[0], svc::JobState::done);
+  EXPECT_TRUE(bit_equal(r.value[0], solo))
+      << "parking on the shrunken world changed the result";
+  EXPECT_GE(r.res[0].retries, 1);
+  expect_parks_survive_deaths(writes, r.park, {2, 4});
+}
+
+TEST(SvcRecovery, DeadParkWriterIsReplaced) {
+  svc::ServiceConfig cfg;
+  cfg.policy = svc::Policy::fifo;
+  cfg.max_concurrent = 1;
+  cfg.slice_iters = 1;
+  const std::vector<JobDef> jobs = {{Slab{"v", 0, 64}}};
+  const float solo = solo_value(jobs[0].slab);
+  // Rank 7 — the highest rank, so the park writer — dies in the second
+  // slice's first crash watch (each one-iteration slice watches twice),
+  // after it has written the first park: the next parks name rank 6 their
+  // writer, and nobody waits on the dead one.
+  std::vector<ParkWrite> writes;
+  const RecRun r = run_service(cfg, jobs, {{fault::Phase::crash_watch, 7, 3}},
+                               0, &writes);
+  ASSERT_EQ(r.st[0], svc::JobState::done);
+  EXPECT_TRUE(bit_equal(r.value[0], solo))
+      << "losing the park writer changed the result";
+  EXPECT_EQ(r.faults.rank_crashes, 1u);
+  expect_parks_survive_deaths(writes, r.park, {7});
 }
 
 }  // namespace
