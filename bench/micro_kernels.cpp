@@ -1,7 +1,8 @@
 // Micro-kernels (google-benchmark): host-side costs of the hot runtime
 // paths — datatype flattening, pack/unpack, logical-map construction,
-// accumulator folding, extent intersection. These complement the virtual-
-// time figure benches: they show the reproduction's own constant factors.
+// accumulator folding, extent intersection, custody checksums. These
+// complement the virtual-time figure benches: they show the reproduction's
+// own constant factors.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -9,6 +10,7 @@
 
 #include "core/logical.hpp"
 #include "core/reduce.hpp"
+#include "integrity/integrity.hpp"
 #include "mpi/datatype.hpp"
 #include "romio/request.hpp"
 
@@ -115,6 +117,21 @@ void BM_FlatRequestIntersect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatRequestIntersect);
+
+// Host bandwidth of the custody checksum every staged chunk is verified
+// with: 4 KiB is a small park/write-behind extent, 512 KiB a staged chunk.
+void BM_Checksum(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(integrity::checksum(buf));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Checksum)->Arg(4 << 10)->Arg(512 << 10);
 
 }  // namespace
 

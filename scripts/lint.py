@@ -18,12 +18,14 @@ Rules
                 into a buffer is fine).
   include       headers use #pragma once; no "../" relative includes; every
                 quoted project include must resolve under src/.
-  raw-fnv1a     checksums in simulated code go through integrity::checksum /
-                integrity::Hasher (trace-metered, samplable, combinable), not
-                raw pfs::fnv1a calls — a bare fnv1a bypasses the integrity
+  raw-checksum  checksums in simulated code go through integrity::checksum /
+                integrity::Hasher / integrity::store_checksum (trace-metered,
+                samplable, combinable), never a private copy of the
+                primitive: a hand-rolled hash loop bypasses the integrity
                 accounting that the detected == recovered + failed invariant
-                audits. The pfs definition site and the single blessed
-                call in src/integrity/ are exempt.
+                audits. A copy is recognised by the XXH64 round constants
+                PRIME64_1 / PRIME64_2 as hex literals anywhere outside
+                src/integrity/, where the one implementation lives.
   raw-tag       internal message tags live in the negative space below -1000
                 and must be spelled as named constexpr constants (kPlanTag,
                 kAgreeTagBase, ...) registered with check::register_tag — a
@@ -70,10 +72,10 @@ RULES = [
 RAW_TAG = re.compile(r"(^|[^\w.])-\d{4,}\b")
 CONSTEXPR_DEF = re.compile(r"\bconstexpr\b")
 
-# Raw checksum primitive outside the integrity module (see raw-fnv1a above).
-# The prototype/definition lines carry the return type and are exempt.
-FNV1A_CALL = re.compile(r"\bfnv1a\s*\(")
-FNV1A_DECL = re.compile(r"\bstd::uint64_t\s+fnv1a\s*\(")
+# The checksum primitive's round constants outside the integrity module (see
+# raw-checksum above): XXH64 PRIME64_1 and PRIME64_2.
+CHECKSUM_CONSTANT = re.compile(r"0x9e3779b185ebca87|0xc2b2ae3d27d4eb4f",
+                               re.IGNORECASE)
 
 LINE_COMMENT = re.compile(r"//.*$")
 STRING = re.compile(r'"(\\.|[^"\\])*"')
@@ -138,13 +140,12 @@ def lint_file(path: Path, src_root: Path, findings: list) -> None:
                 findings.append((rel, i, rule, message))
         if (
             "integrity" not in rel.parts
-            and FNV1A_CALL.search(code)
-            and not FNV1A_DECL.search(code)
-            and not waived(raw, "raw-fnv1a")
+            and CHECKSUM_CONSTANT.search(code)
+            and not waived(raw, "raw-checksum")
         ):
             findings.append(
-                (rel, i, "raw-fnv1a",
-                 "raw fnv1a call outside src/integrity/ (use "
+                (rel, i, "raw-checksum",
+                 "checksum round constant outside src/integrity/ (use "
                  "integrity::checksum / integrity::Hasher)")
             )
         if (

@@ -12,7 +12,6 @@
 #include "core/logical.hpp"
 #include "fault/chaos.hpp"
 #include "integrity/integrity.hpp"
-#include "pfs/fault.hpp"
 #include "mpi/ft.hpp"
 #include "mpi/runtime.hpp"
 #include "romio/collective.hpp"
@@ -1055,7 +1054,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         for (const auto& e : sc.extents) {
           auto slice = sc.data.subspan(e.offset - c.offset, e.length);
           const std::uint64_t want =
-              pfs::store_checksum(truth, e.offset, e.length);
+              integrity::store_checksum(truth, e.offset, e.length);
           comm.overhead(static_cast<double>(e.length) / memcpy_bw);
           int tries = 0;
           while (integrity::checksum(slice) != want) {

@@ -5,10 +5,17 @@
 // streamed copies bypass filesystem checksums entirely. This module is the
 // one place checksums are computed, attached, and verified:
 //
-//   * `checksum()` / `Hasher` / `combine()` — the FNV-1a primitive (full
-//     coverage, incremental, and extent-combinable variants). Raw `fnv1a`
-//     calls outside this module are a lint error (`scripts/lint.py`), so
-//     new custody transfers cannot silently bypass the layer.
+//   * `checksum()` / `Hasher` / `store_checksum()` / `combine()` — the
+//     checksum primitive (one-shot, incremental, store-streaming and
+//     extent-combinable variants). The checksum is the XXH64 construction
+//     with seed 0 over every byte, hashing ~8 GiB/s on one core of a Xeon
+//     VM (`BM_Checksum` in bench/micro_kernels). Any single-bit flip
+//     changes the digest: with certainty in inputs under 32 bytes and in
+//     the last (length mod 32) bytes, where every step from word to digest
+//     is a bijection, and elsewhere unless the final four-lane merge
+//     collides (~2^-64). Its round constants outside this module are a
+//     lint error (`scripts/lint.py` raw-checksum), so new custody transfers
+//     cannot silently bypass the layer with a private copy.
 //   * `Stage` — the named custody stages. A corruption that survives its
 //     recovery budget surfaces as `fault::Error{data_corrupt}` whose text
 //     names the stage ("stage.cache", "core.checkpoint", ...), never as a
@@ -23,12 +30,17 @@
 // the overhead study in bench/ext_integrity.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 
 #include "fault/fault.hpp"
+
+namespace colcom::pfs {
+class Store;
+}  // namespace colcom::pfs
 
 namespace colcom::integrity {
 
@@ -54,20 +66,33 @@ enum class Stage {
 
 const char* to_string(Stage stage);
 
-/// 64-bit FNV-1a over the full byte range — the end-to-end checksum.
-/// (Delegates to the existing pfs primitive; this is the blessed call site.)
+/// The end-to-end checksum (XXH64, seed 0) over the full byte range.
 std::uint64_t checksum(std::span<const std::byte> bytes);
 
-/// Incremental FNV-1a: feed extents in order, read the digest at any point.
-/// `Hasher{}.update(a).update(b).digest()` == `checksum(a ++ b)`.
+/// Incremental form of `checksum`: feed extents in order, read the digest at
+/// any point. `Hasher{}.update(a).update(b).digest()` == `checksum(a ++ b)`
+/// for every split; a partial stripe carries over between updates.
 class Hasher {
  public:
+  /// Bytes per stripe: one 8-byte word for each of the four lanes.
+  static constexpr std::size_t kStripe = 32;
+
+  Hasher();
   Hasher& update(std::span<const std::byte> bytes);
-  std::uint64_t digest() const { return h_; }
+  std::uint64_t digest() const;
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
+  std::array<std::uint64_t, 4> lanes_;       ///< one accumulator per lane
+  std::uint64_t total_ = 0;                  ///< bytes fed so far
+  std::array<std::byte, kStripe> stripe_{};  ///< partial stripe
+  std::size_t pending_ = 0;                  ///< bytes held in stripe_
 };
+
+/// `checksum` of `store`'s bytes over [offset, offset+len), streamed
+/// through a `Hasher` in bounded windows. Pass `Store::pristine()` for the
+/// trustworthy digest a read is verified against.
+std::uint64_t store_checksum(const pfs::Store& store, std::uint64_t offset,
+                             std::uint64_t len);
 
 /// Folds one extent's digest (and length) into an accumulated chunk digest
 /// without touching the bytes again. Order-dependent by design — a chunk's

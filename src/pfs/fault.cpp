@@ -4,35 +4,6 @@
 
 namespace colcom::pfs {
 
-std::uint64_t fnv1a(std::span<const std::byte> bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t store_checksum(const Store& store, std::uint64_t offset,
-                             std::uint64_t len) {
-  // Stream in bounded windows to stay memory-friendly for large ranges.
-  constexpr std::uint64_t kWindow = 1ull << 20;
-  std::vector<std::byte> buf;
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  std::uint64_t pos = 0;
-  while (pos < len) {
-    const std::uint64_t n = std::min(kWindow, len - pos);
-    buf.resize(n);
-    store.read(offset + pos, buf);
-    for (const std::byte b : buf) {
-      h ^= static_cast<std::uint64_t>(b);
-      h *= 0x100000001b3ull;
-    }
-    pos += n;
-  }
-  return h;
-}
-
 FaultyStore::FaultyStore(std::unique_ptr<Store> base, double corrupt_prob,
                          std::uint64_t seed, int corrupt_attempts,
                          double write_corrupt_prob)

@@ -5,8 +5,9 @@
 //  * transient OST faults: an injected fraction of OST requests time out and
 //    are retried after a delay (costed in virtual time, data unharmed);
 //  * silent corruption: a FaultyStore flips bytes of selected reads while
-//    checksum() still reflects the pristine data, so end-to-end verification
-//    (as in Lustre T10-PI) can detect the damage and trigger a re-read.
+//    pristine() still holds the true data, so end-to-end verification
+//    against integrity::store_checksum (as in Lustre T10-PI) can detect the
+//    damage and trigger a re-read.
 // All randomness is seeded; runs are bit-reproducible.
 #pragma once
 
@@ -29,13 +30,6 @@ struct FaultModel {
   int max_retries = 4;             ///< give up (contract error) after this
   std::uint64_t seed = 0x5eed;
 };
-
-/// 64-bit FNV-1a over a byte range — the end-to-end checksum primitive.
-std::uint64_t fnv1a(std::span<const std::byte> bytes);
-
-/// Checksum of a store's *pristine* content over [offset, offset+len).
-std::uint64_t store_checksum(const Store& store, std::uint64_t offset,
-                             std::uint64_t len);
 
 /// Wraps a store; an injected fraction of reads returns corrupted bytes
 /// (deterministic in offset and attempt count). Each location corrupts at

@@ -96,10 +96,13 @@ struct TwoPhasePlan {
 };
 
 /// Builds the plan collectively. Every rank must call with its own request.
-/// Cost model: one allreduce for [gmin,gmax) plus each rank shipping its
-/// clipped offset list to each intersecting aggregator. Ranks already
-/// crashed at t=0 under an installed chaos schedule are never selected as
-/// aggregators. `my_residency` is this rank's staging-residency score
+/// Cost model: two allreduces (min, then max) agree on [gmin,gmax); then
+/// every rank sends its offset list clipped to each aggregator's file
+/// domain to that aggregator — an empty list when the request misses the
+/// domain — and each aggregator receives one list from every rank, so the
+/// exchange is nprocs × aggregators messages. Ranks already crashed at t=0
+/// under an installed chaos schedule are never selected as aggregators.
+/// `my_residency` is this rank's staging-residency score
 /// (stage::StagingArea::residency_bytes of the target file), consulted only
 /// under hints.staging_aware_placement — which adds one allgather to share
 /// the scores.

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "des/engine.hpp"
+#include "integrity/integrity.hpp"
 #include "pfs/fault.hpp"
 #include "pfs/pfs.hpp"
 #include "pfs/store.hpp"
@@ -17,22 +18,15 @@ std::span<const std::byte> as_cbytes(const std::vector<std::uint8_t>& v) {
   return {reinterpret_cast<const std::byte*>(v.data()), v.size()};
 }
 
-TEST(Checksum, Fnv1aKnownVectors) {
-  // FNV-1a 64: hash of empty input is the offset basis.
-  EXPECT_EQ(fnv1a({}), 0xcbf29ce484222325ull);
-  const std::vector<std::uint8_t> a{'a'};
-  EXPECT_EQ(fnv1a(as_cbytes(a)), 0xaf63dc4c8601ec8cull);
-}
-
 TEST(Checksum, StoreChecksumMatchesDirectHash) {
   MemStore s(0);
   std::vector<std::uint8_t> data(3 << 20);  // > one streaming window
   std::iota(data.begin(), data.end(), 0);
   s.write(0, as_cbytes(data));
-  const auto direct = fnv1a(as_cbytes(data));
-  EXPECT_EQ(store_checksum(s, 0, data.size()), direct);
+  const auto direct = integrity::checksum(as_cbytes(data));
+  EXPECT_EQ(integrity::store_checksum(s, 0, data.size()), direct);
   // Sub-range checksums differ from the whole.
-  EXPECT_NE(store_checksum(s, 0, 100), direct);
+  EXPECT_NE(integrity::store_checksum(s, 0, 100), direct);
 }
 
 TEST(FaultyStore, ZeroProbabilityIsTransparent) {
@@ -68,10 +62,10 @@ TEST(FaultyStore, ChecksumDetectsCorruption) {
   std::vector<std::uint8_t> data(1024, 3);
   base->write(0, as_cbytes(data));
   FaultyStore s(std::move(base), 1.0, 9);
-  const auto good = store_checksum(s.pristine(), 0, 1024);
+  const auto good = integrity::store_checksum(s.pristine(), 0, 1024);
   std::vector<std::byte> buf(1024);
   s.read(0, buf);
-  EXPECT_NE(fnv1a(buf), good);
+  EXPECT_NE(integrity::checksum(buf), good);
 }
 
 TEST(FaultyStore, DeterministicPattern) {

@@ -14,7 +14,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <string_view>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -91,6 +95,91 @@ TEST(ChecksumPrimitives, HasherIncrementalMatchesFullChecksum) {
   h.update(a).update(b);
   EXPECT_EQ(h.digest(), integrity::checksum(cat));
   EXPECT_NE(h.digest(), integrity::checksum(a));
+  // Every split point, and byte-by-byte feeding, of lengths around the
+  // 32-byte stripe: the partial stripe must carry over between updates.
+  std::vector<std::size_t> lengths(130);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  lengths.push_back(1000);
+  for (const std::size_t len : lengths) {
+    const auto buf = pattern(len, static_cast<int>(len));
+    const std::span<const std::byte> all(buf);
+    const std::uint64_t want = integrity::checksum(all);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      integrity::Hasher split;
+      split.update(all.first(cut)).update(all.subspan(cut));
+      ASSERT_EQ(split.digest(), want) << "len " << len << " split at " << cut;
+    }
+    integrity::Hasher bytewise;
+    for (std::size_t i = 0; i < len; ++i) bytewise.update(all.subspan(i, 1));
+    ASSERT_EQ(bytewise.digest(), want) << "len " << len << " byte by byte";
+  }
+}
+
+std::span<const std::byte> text_bytes(std::string_view s) {
+  return std::as_bytes(std::span(s.data(), s.size()));
+}
+
+TEST(ChecksumPrimitives, MatchesPublishedXxh64Digests) {
+  // XXH64, seed 0. The 39- and 43-byte inputs cover a whole stripe plus
+  // 8-, 4- and 1-byte tail steps.
+  EXPECT_EQ(integrity::checksum({}), 0xef46db3751d8e999ull);
+  EXPECT_EQ(integrity::checksum(text_bytes("a")), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(integrity::checksum(text_bytes("abc")), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(integrity::checksum(
+                text_bytes("Nobody inspects the spammish repetition")),
+            0xfbcea83c8a378bf1ull);
+  EXPECT_EQ(integrity::checksum(
+                text_bytes("The quick brown fox jumps over the lazy dog")),
+            0x0b242d361fda71bcull);
+}
+
+TEST(ChecksumPrimitives, EverySingleBitFlipChangesTheDigest) {
+  auto buf = pattern(4096, 6);
+  const std::uint64_t clean = integrity::checksum(buf);
+  std::unordered_set<std::uint64_t> seen{clean};
+  std::size_t unchanged = 0;
+  for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+    const auto mask = static_cast<std::byte>(1u << (bit % 8));
+    buf[bit / 8] ^= mask;
+    const std::uint64_t sum = integrity::checksum(buf);
+    buf[bit / 8] ^= mask;
+    if (sum == clean) ++unchanged;
+    seen.insert(sum);
+  }
+  EXPECT_EQ(unchanged, 0u);
+  // No two flips collide either: 32,768 flips, 32,768 distinct digests.
+  EXPECT_EQ(seen.size(), buf.size() * 8 + 1);
+}
+
+TEST(ChecksumPrimitives, TopBitFlipsInTwoWordsDoNotCancel) {
+  // A word-wise FNV (h ^= w; h *= prime) carries a flip of bit 63 only into
+  // bit 63, so two such flips cancel. Pairs cover two lanes of one stripe,
+  // one lane across stripes, and a stripe word against a tail word.
+  auto buf = pattern(4096 + 24, 7);
+  const std::uint64_t clean = integrity::checksum(buf);
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 1}, {0, 4}, {3, 7}, {10, 511}, {0, 512}, {511, 514}};
+  for (const auto& [a, b] : pairs) {
+    buf[a * 8 + 7] ^= std::byte{0x80};
+    buf[b * 8 + 7] ^= std::byte{0x80};
+    EXPECT_NE(integrity::checksum(buf), clean) << "words " << a << ", " << b;
+    buf[a * 8 + 7] ^= std::byte{0x80};
+    buf[b * 8 + 7] ^= std::byte{0x80};
+  }
+}
+
+TEST(ChecksumPrimitives, UnalignedSubspansHashLikeAlignedCopies) {
+  const auto buf = pattern(4096 + 8, 8);
+  for (std::size_t skew = 1; skew <= 7; ++skew) {
+    for (const std::size_t len : {1, 7, 8, 31, 32, 33, 100, 1000, 4096}) {
+      const auto sub = std::span<const std::byte>(buf).subspan(skew, len);
+      const std::vector<std::byte> copy(sub.begin(), sub.end());
+      EXPECT_EQ(integrity::checksum(sub), integrity::checksum(copy))
+          << "skew " << skew << " len " << len;
+      EXPECT_EQ(integrity::Hasher{}.update(sub).digest(),
+                integrity::checksum(copy));
+    }
+  }
 }
 
 TEST(ChecksumPrimitives, CombineIsOrderAndLengthSensitive) {
