@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # CI driver: project lint -> configure -> build -> clang-tidy gate (hard
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
-# again under the MPI correctness checker (COLCOM_CHECK=1 strict), then an
-# optional -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests, the
-# core/stage/stream data-plane suites and the svc service suite, a budgeted
-# CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
-# fault suites under the sanitizers with several seeds — also under the
-# correctness checker.
+# again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the six
+# extension benches, shape-checked and diffed against their BENCH_*.json
+# trajectories (scripts/bench_diff.py), then an optional -Werror +
+# ASan/UBSan pass over the des/mpi/trace/prof tests, the core/stage/stream
+# data-plane suites and the svc service suite, a budgeted CHK-EXPLORE
+# schedule-exploration stage, and a chaos stage running the fault suites
+# under the sanitizers with several seeds — also under the correctness
+# checker.
 #
 # Usage: scripts/ci.sh [--fast] [--no-sanitize] [--no-chaos] [--no-tidy]
 #                      [chaos]
@@ -54,6 +56,24 @@ for arg in "$@"; do
 done
 
 step() { echo; echo "=== $* ==="; }
+
+# One extension bench at its default chaos seed: its shape checks must all
+# hold, and its RESULT lines must reproduce the checked-in trajectory field
+# for field. Virtual time is deterministic, so a moved field is a change to
+# re-record on purpose, never noise (scripts/bench_diff.py prints each).
+bench_smoke() {  # <bench target> <trajectory file>
+  local target="$1" trajectory="$2" out
+  step "$target bench smoke (shape checks, $trajectory)"
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target "$target"
+  out="$(timeout "$BUDGET" env -u COLCOM_CHAOS_SEED \
+    "$BUILD_DIR/bench/$target")"
+  echo "$out"
+  if grep -q "shape MISS" <<<"$out"; then
+    echo "$target shape check failed" >&2
+    exit 1
+  fi
+  python3 scripts/bench_diff.py "$trajectory" <<<"$out"
+}
 
 # The DES runs ranks on fibers that switch stacks with _longjmp; ASan's
 # fake-stack bookkeeping cannot follow those switches, so fake stacks must
@@ -172,23 +192,8 @@ timeout "$BUDGET" ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
 step "ctest under the MPI correctness checker (COLCOM_CHECK=1 strict)"
 COLCOM_CHECK=1 timeout "$BUDGET" ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
 
-step "staging bench smoke (ext_staging shape checks)"
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target ext_staging
-STAGING_OUT="$(timeout "$BUDGET" "$BUILD_DIR/bench/ext_staging")"
-echo "$STAGING_OUT"
-if grep -q "shape MISS" <<<"$STAGING_OUT"; then
-  echo "ext_staging shape check failed" >&2
-  exit 1
-fi
-
-step "service bench smoke (ext_service shape checks)"
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target ext_service
-SERVICE_OUT="$(timeout "$BUDGET" "$BUILD_DIR/bench/ext_service")"
-echo "$SERVICE_OUT"
-if grep -q "shape MISS" <<<"$SERVICE_OUT"; then
-  echo "ext_service shape check failed" >&2
-  exit 1
-fi
+bench_smoke ext_staging BENCH_staging.json
+bench_smoke ext_service BENCH_service.json
 
 # The multi-tenant suite under the correctness checker and a shifted chaos
 # seed: tenant aborts and mid-service role crashes at moved timestamps must
@@ -197,23 +202,8 @@ step "service suite under COLCOM_CHECK=1 and a chaos seed"
 COLCOM_CHAOS_SEED=7 COLCOM_CHECK=1 timeout "$BUDGET" \
   "$BUILD_DIR/tests/test_svc"
 
-step "integrity bench smoke (ext_integrity shape checks)"
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target ext_integrity
-INTEGRITY_OUT="$(timeout "$BUDGET" "$BUILD_DIR/bench/ext_integrity")"
-echo "$INTEGRITY_OUT"
-if grep -q "shape MISS" <<<"$INTEGRITY_OUT"; then
-  echo "ext_integrity shape check failed" >&2
-  exit 1
-fi
-
-step "streaming bench smoke (ext_streaming shape checks)"
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target ext_streaming
-STREAMING_OUT="$(timeout "$BUDGET" "$BUILD_DIR/bench/ext_streaming")"
-echo "$STREAMING_OUT"
-if grep -q "shape MISS" <<<"$STREAMING_OUT"; then
-  echo "ext_streaming shape check failed" >&2
-  exit 1
-fi
+bench_smoke ext_integrity BENCH_integrity.json
+bench_smoke ext_streaming BENCH_streaming.json
 
 # The streaming suite under the correctness checker and a shifted chaos
 # seed: producer/consumer crash points at moved timestamps must end every
@@ -222,6 +212,11 @@ fi
 step "streaming suite under COLCOM_CHECK=1 and a chaos seed"
 COLCOM_CHAOS_SEED=7 COLCOM_CHECK=1 timeout "$BUDGET" \
   "$BUILD_DIR/tests/test_stream"
+
+# The fault-tolerance sweep and the soak at its default seed: every fault
+# class, composed faults, and the recovery counters they move.
+bench_smoke ext_fault_tolerance BENCH_fault.json
+bench_smoke ext_soak BENCH_soak.json
 
 # The benchmark harness checks every job against serial_reduce over the
 # generator and checks virtual-time repeatability, so a byte-synthesis or

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -326,17 +327,14 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
 
   // ---- fault machinery: aggregator-crash detection and absorption ----
   fault::Injector* const fi = comm.runtime().chaos();
-  // ft mode: the chaos schedule carries control-plane crash points, so
-  // ranks can die as *processes* mid-collective. Detection then runs over
-  // the fault-tolerant agreement protocol instead of an allreduce (which
-  // would hang on a dead member), and replans are the message-free
-  // replan_local (the metadata was replicated at plan time).
-  const bool ftmode = fi != nullptr && fi->schedule().has_crash_points();
-  const bool watch = (fi != nullptr && fi->watch_aggregators()) || ftmode;
-  // End-to-end recovery semantics (RunOptions::recover) only matter when
-  // processes can die mid-slice; without crash points the legacy paths
-  // already recover role crashes bit-identically on their own.
-  const bool recover = ropt.recover && ftmode;
+  // The crash watch runs whenever the schedule can kill an aggregator role
+  // or a process. It always agrees over mpi::ft::agree (an allreduce would
+  // hang on a dead member), so a run the runtime cannot heal ends in the
+  // same structured fault::Error on every alive rank. Replans of role
+  // deaths exchange the dead domain's requests (replan_exchange); under
+  // crash points the metadata was replicated at plan time and replans are
+  // the message-free replan_local.
+  const bool watch = fi != nullptr && fi->watch_aggregators();
   // Per-attempt data-plane tags: per-pair FIFO would happily match a stale
   // in-flight message of a failed attempt to a resubmitted slice's receive,
   // so every attempt salts its tags into a disjoint block far below the
@@ -348,17 +346,41 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   const int absorb_tag = kAbsorbTag - tag_off;
   const int warm_rep_tag = kWarmRepTag - tag_off;
   const int recover_tag = kRecoverTag - tag_off;
-  // A rank that cannot finish this attempt (its make-up absorber died, a
-  // re-serve failed under it) turns zombie: it keeps joining the crash
-  // watches but serves and receives nothing, and raises the abort word so
-  // the next agreement converts the local failure into a replicated
-  // slice_aborted throw on every alive rank — the scheduler above rolls the
-  // job back to its parked mid and resubmits with fresh tags and epochs.
+  // A rank that cannot finish this attempt (its make-up absorber died, one
+  // of its own reads failed) turns zombie: it keeps joining the crash
+  // watches but serves and receives nothing — every slot it still owes
+  // gets a death note instead — and raises the abort word so the next
+  // agreement converts the local failure into a replicated throw on every
+  // alive rank. The scheduler above rolls the job back to its parked mid
+  // and resubmits with fresh tags and epochs.
   bool aborting = false;
+  // The fault::Error that turned this rank zombie, if a local one did. The
+  // abort rethrows it on this rank and throws slice_aborted on the others,
+  // so a scheduler's outcome agreement still classifies the attempt by its
+  // cause (a data_corrupt is never resubmitted).
+  std::exception_ptr cause;
+  // Runs `fn`, which reads on this rank's behalf. A fault::Error it raises
+  // is local to this rank; under a watch the rank turns zombie (returning
+  // false) instead of unwinding alone, which would strand its receivers.
+  auto or_zombie = [&](auto&& fn) {
+    try {
+      fn();
+      return true;
+    } catch (const fault::Error&) {
+      if (!watch) throw;
+      aborting = true;
+      if (!cause) cause = std::current_exception();
+      return false;
+    }
+  };
+  auto raise_abort = [&] {
+    if (cause) std::rethrow_exception(cause);
+    throw fault::Error(fault::Layer::core, fault::Kind::slice_aborted,
+                       "a rank abandoned this slice attempt");
+  };
   const int naggs = plan.aggregator_count();
-  // Crash reports travel as a bitset of 63-bit words (the sign bit stays
-  // clear), so any aggregator count works; each bit has a single owner, so
-  // a sum-allreduce over the words equals a bitwise OR with no carries.
+  // Crash reports travel as a bitset of 63-bit words, so any aggregator
+  // count works.
   constexpr int kCrashBitsPerWord = 63;
   const int crash_words =
       std::max(1, (naggs + kCrashBitsPerWord - 1) / kCrashBitsPerWord);
@@ -376,12 +398,12 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       static_cast<std::size_t>(naggs));
   // The survivor serving chunk (d, k) of a dead aggregator: rotate over the
   // alive aggregators so absorbed load spreads instead of piling on one.
+  // Some aggregator is always alive here: a watch that leaves none throws.
   auto serving_index = [&](int d, int k) {
     std::vector<int> alive;
     for (int b = 0; b < naggs; ++b) {
       if (agg_dead[static_cast<std::size_t>(b)] == 0) alive.push_back(b);
     }
-    COLCOM_EXPECT_MSG(!alive.empty(), "every aggregator crashed");
     return alive[static_cast<std::size_t>(
         (d + k) % static_cast<int>(alive.size()))];
   };
@@ -412,23 +434,43 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // the iteration's wait_all.
   const std::byte death_note{};
 
+  // Structural impossibilities, derived purely from agreed verdicts, so
+  // every alive rank throws the same error at the same agreement:
+  // structured failures a scheduler can classify, never diverging aborts
+  // that would hang the survivors at the next agreement.
+  auto check_viable = [&] {
+    if (std::all_of(agg_dead.begin(), agg_dead.end(),
+                    [](char c) { return c != 0; })) {
+      throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
+                         "every aggregator of this plan crashed");
+    }
+    if (a2one && proc_dead[static_cast<std::size_t>(obj.root)] != 0) {
+      throw fault::Error(fault::Layer::core, fault::Kind::root_failed,
+                         obj.root, "the reduction root process died");
+    }
+    if (!a2one && std::any_of(proc_dead.begin(), proc_dead.end(),
+                              [](char c) { return c != 0; })) {
+      throw fault::Error(
+          fault::Layer::core, fault::Kind::unrecoverable,
+          "all_to_all reduction cannot survive a process death");
+    }
+  };
+
   // One crash watch: agree on role deaths (self-reported), process deaths
-  // (the agreement verdict's registry snapshot) and missed slots, then
-  // replan every newly dead aggregator's file domain. Watch `k` announces
-  // misses from iteration k-1. All ranks leave with identical agg_dead /
-  // proc_dead / miss_iter — every recovery decision below derives from
-  // them, never from local timing.
+  // (the agreement verdict's registry snapshot), missed slots and the
+  // abort word, then replan every newly dead aggregator's file domain.
+  // Watch `k` announces misses from iteration k-1. All ranks leave with
+  // identical agg_dead / proc_dead / miss_iter — every recovery decision
+  // below derives from them, never from local timing.
   auto do_watch = [&](int k, int epoch) {
-    if (ftmode) mpi::ft::crash_point(comm, fault::Phase::crash_watch);
+    mpi::ft::crash_point(comm, fault::Phase::crash_watch);
     // Mask layout: words [0, crash_words) carry role-death bits, words
-    // [crash_words, 2*crash_words) carry miss bits. In legacy (allreduce)
-    // mode each bit has a single owner — the dying rank itself — so the
-    // sum stays carry-free; agreement mode ORs, so receivers report
+    // [crash_words, 2*crash_words) carry miss bits, and the last word is
+    // the abort word. The agreement ORs the masks, so receivers report
     // process-death misses too.
-    const std::size_t words =
-        2 * static_cast<std::size_t>(crash_words) + (recover ? 1 : 0);
+    const std::size_t words = 2 * static_cast<std::size_t>(crash_words) + 1;
     std::vector<std::uint64_t> my_bits(words, 0);
-    if (recover && aborting) my_bits[words - 1] |= 1;
+    if (aborting) my_bits[words - 1] |= 1;
     if (my_agg >= 0 && agg_dead[static_cast<std::size_t>(my_agg)] == 0 &&
         fi->schedule().aggregator_crashed(comm.rank(), comm.wtime())) {
       my_bits[static_cast<std::size_t>(my_agg / kCrashBitsPerWord)] |=
@@ -439,38 +481,22 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
             1ull << (my_agg % kCrashBitsPerWord);
       }
     }
-    if (ftmode) {
-      for (const SlotEntry& e : slot_log) {
-        if (!e.miss) continue;
-        my_bits[static_cast<std::size_t>(crash_words +
-                                         e.a / kCrashBitsPerWord)] |=
-            1ull << (e.a % kCrashBitsPerWord);
-      }
+    for (const SlotEntry& e : slot_log) {
+      if (!e.miss) continue;
+      my_bits[static_cast<std::size_t>(crash_words +
+                                       e.a / kCrashBitsPerWord)] |=
+          1ull << (e.a % kCrashBitsPerWord);
     }
-    std::vector<std::uint64_t> bits(words, 0);
-    if (ftmode) {
-      const mpi::ft::Verdict v = mpi::ft::agree(comm, my_bits, epoch);
-      bits = v.mask;
-      for (int r = 0; r < comm.size(); ++r) {
-        if (v.dead_bit(r)) proc_dead[static_cast<std::size_t>(r)] = 1;
-      }
-    } else {
-      std::vector<std::int64_t> in(words, 0), folded(words, 0);
-      for (std::size_t i = 0; i < words; ++i) {
-        in[i] = static_cast<std::int64_t>(my_bits[i]);
-      }
-      comm.allreduce(in.data(), folded.data(), words, mpi::Prim::i64,
-                     mpi::Op::sum());
-      for (std::size_t i = 0; i < words; ++i) {
-        bits[i] = static_cast<std::uint64_t>(folded[i]);
-      }
+    const mpi::ft::Verdict v = mpi::ft::agree(comm, my_bits, epoch);
+    const std::vector<std::uint64_t>& bits = v.mask;
+    for (int r = 0; r < comm.size(); ++r) {
+      if (v.dead_bit(r)) proc_dead[static_cast<std::size_t>(r)] = 1;
     }
-    if (recover && (bits[words - 1] & 1) != 0) {
+    if ((bits[words - 1] & 1) != 0) {
       // Some rank abandoned this attempt: the failure is now replicated, so
-      // every alive rank throws the identical structured error and the
-      // scheduler retries from the parked mid on the shrunken world.
-      throw fault::Error(fault::Layer::core, fault::Kind::slice_aborted,
-                         "a rank abandoned this slice attempt");
+      // every alive rank throws a structured error and a scheduler retries
+      // from the parked mid on the shrunken world.
+      raise_abort();
     }
     // Agreed miss bits first: the invalidation below narrows by them. A
     // miss may name an aggregator already dead in an earlier watch (its
@@ -525,11 +551,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
             survivors.push_back(plan.aggregators[static_cast<std::size_t>(b)]);
           }
         }
-        if (recover && survivors.empty()) {
-          throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
-                             "every aggregator of this plan crashed");
-        }
-        COLCOM_EXPECT_MSG(!survivors.empty(), "every aggregator crashed");
+        if (survivors.empty()) break;  // check_viable throws below
         absorbed[static_cast<std::size_t>(d)] =
             romio::replan_exchange(comm, plan, d, survivors, mine_req, hints);
       }
@@ -557,27 +579,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
                     "agg_crash_detected", comm.wtime());
       }
     }
-    if (recover) {
-      // Structural impossibilities, derived purely from the agreed verdict,
-      // so every alive rank throws the same error at the same watch —
-      // structured failures the service can classify, never diverging
-      // aborts that would hang the survivors at the next agreement.
-      if (std::all_of(agg_dead.begin(), agg_dead.end(),
-                      [](char c) { return c != 0; })) {
-        throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
-                           "every aggregator of this plan crashed");
-      }
-      if (a2one && proc_dead[static_cast<std::size_t>(obj.root)] != 0) {
-        throw fault::Error(fault::Layer::core, fault::Kind::root_failed,
-                           obj.root, "the reduction root process died");
-      }
-      if (!a2one && std::any_of(proc_dead.begin(), proc_dead.end(),
-                                [](char c) { return c != 0; })) {
-        throw fault::Error(
-            fault::Layer::core, fault::Kind::unrecoverable,
-            "all_to_all reduction cannot survive a process death");
-      }
-    }
+    check_viable();
   };
 
   // ---- aggregator-side pipelined I/O state (Fig. 7: the I/O thread) ----
@@ -640,7 +642,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   }
   int next_issue = begin_iter;
   if (my_agg >= 0 && begin_iter < end_iter) {
-    issue_read(begin_iter, false);
+    or_zombie([&] { issue_read(begin_iter, false); });
     next_issue = begin_iter + 1;
   }
 
@@ -656,6 +658,25 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     mpi::wait_all(sends);
     sends.clear();
     shipped.clear();
+  };
+  // Sends the 1-byte death note (unmistakable next to 32-byte record
+  // batches) under `tag` to every receiver of chunk `c`, whose records
+  // `dreqs` would build: the root (all_to_one), or each rank the chunk
+  // holds bytes of (all_to_all). Each logs the slot as missed.
+  auto note_receivers = [&](const pfs::ByteExtent& c,
+                            const std::vector<romio::FlatRequest>& dreqs,
+                            int tag) {
+    const std::span<const std::byte> note(&death_note, 1);
+    if (a2one) {
+      sends.push_back(comm.isend(obj.root, tag, note));
+      return;
+    }
+    for (int r = 0; r < comm.size(); ++r) {
+      if (dreqs[static_cast<std::size_t>(r)].bytes_in(
+              c.offset, c.offset + c.length) > 0) {
+        sends.push_back(comm.isend(r, tag, note));
+      }
+    }
   };
   // Receive buffers: a whole slot batch (all_to_one root, warm make-up), or
   // this rank's single record of a slot (all_to_all), on the stack.
@@ -693,10 +714,8 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
 
   // Receives one slot from `src` under `tag` into `dst` and returns the
   // records that arrived, or nullopt on a miss: a 1-byte death note, or —
-  // under a crash watch — the sender's process death. With `death_is_miss`
-  // false that death propagates as fault::Error{rank_failed} instead.
-  auto recv_slot = [&](int src, int tag, std::span<PartialRecord> dst,
-                       bool death_is_miss = true)
+  // under a crash watch — the sender's process death.
+  auto recv_slot = [&](int src, int tag, std::span<PartialRecord> dst)
       -> std::optional<std::span<const PartialRecord>> {
     const std::span<std::byte> wire = std::as_writable_bytes(dst);
     std::uint64_t nbytes = 0;
@@ -706,7 +725,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       try {
         nbytes = comm.recv_ft(src, tag, wire).bytes;
       } catch (const fault::Error& e) {
-        if (!death_is_miss || e.kind() != fault::Kind::rank_failed) throw;
+        if (e.kind() != fault::Kind::rank_failed) throw;
         return std::nullopt;
       }
       // Real batches are multiples of 32 bytes, empty ones 0 bytes.
@@ -902,8 +921,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
           proc_dead[static_cast<std::size_t>(
               plan.aggregators[static_cast<std::size_t>(d)])] == 0 &&
           fi->schedule().config().warm_partials;
-      try {
-        bool served = false;
+      const bool served = or_zombie([&] {
         if (warm) {
           // Warm-partial make-up: the records the dead role already
           // computed, forwarded in their original order. The PFS never sees
@@ -925,32 +943,18 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
             fi->note_warm_chunk(recs->size(), saved);
             shipped.emplace_back(recs->begin(), recs->end());
             ship_records(shipped.back(), recover_tag);
-            served = true;
+            return;
           }
         }
-        if (!served) {
-          // Cold make-up: re-read the lost chunk and rebuild its records —
-          // the arithmetic and record order match the fault-free serve.
-          serve_dead_chunk(*makeup_src, c, d, "makeup", recover_tag);
-        }
-      } catch (const fault::Error&) {
-        if (!recover) throw;
-        // This absorber cannot re-serve the slot. Tell every waiting
-        // receiver (a 1-byte note under the make-up tag, unmistakable next
-        // to 32-byte record batches) and turn zombie: the receivers zombie
-        // too, and the next agreement aborts the attempt for everyone.
-        aborting = true;
-        const std::span<const std::byte> note(&death_note, 1);
-        if (a2one) {
-          sends.push_back(comm.isend(obj.root, recover_tag, note));
-        } else {
-          for (int r = 0; r < comm.size(); ++r) {
-            if (plan.domain_requests[static_cast<std::size_t>(r)].bytes_in(
-                    c.offset, c.offset + c.length) > 0) {
-              sends.push_back(comm.isend(r, recover_tag, note));
-            }
-          }
-        }
+        // Cold make-up: re-read the lost chunk and rebuild its records —
+        // the arithmetic and record order match the fault-free serve.
+        serve_dead_chunk(*makeup_src, c, d, "makeup", recover_tag);
+      });
+      if (!served) {
+        // This absorber cannot re-serve the slot: note every waiting
+        // receiver. The receivers zombie too, and the next agreement
+        // aborts the attempt for everyone.
+        note_receivers(c, absorbed[static_cast<std::size_t>(d)], recover_tag);
       }
     }
   };
@@ -966,43 +970,30 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       deferring = false;
       return;
     }
-    // Local failures below cannot abort the whole world from here — the
-    // other ranks are deep in their own receive sequences and would hang at
-    // the next agreement if this rank just threw. Turn zombie instead
-    // (recover mode): drop the log, stop folding, and let the abort word of
-    // the next watch replicate the failure to everyone.
-    auto go_zombie = [&] {
-      aborting = true;
-      slot_log.clear();
-      deferring = false;
-    };
     for (SlotEntry& e : slot_log) {
-      if (e.miss) {
-        if (recover && e.k != wk - 1) {
-          // The absorbing survivor of a missed slot died before re-serving
-          // it — make-up recovery is single-level by design; the resubmit
-          // restarts the slice cleanly from the parked mid instead.
-          go_zombie();
-          return;
-        }
-        COLCOM_EXPECT_MSG(e.k == wk - 1,
-                          "make-up recovery is single-level: the absorbing "
-                          "survivor of a missed slot died before re-serving "
-                          "it");
-        // In recover mode a miss means the absorber died, or failed to
-        // re-serve and noted us. Outside it no absorber sends that note, and
-        // its death stays fatal: the rank_failed propagates.
-        const auto recs = recv_slot(
-            plan.aggregators[static_cast<std::size_t>(serving_index(e.a, e.k))],
-            recover_tag, slot_buf(), recover);
-        if (!recs) {
-          go_zombie();
-          return;
-        }
-        fold_records(*recs);
-      } else {
+      if (!e.miss) {
         fold_records(e.recs);
+        continue;
       }
+      // A miss older than iteration wk - 1 means its absorbing survivor
+      // died before re-serving it (make-up recovery is single-level by
+      // design); a miss on the make-up receive means the absorber died, or
+      // failed to re-serve and noted us. Either way this rank cannot
+      // finish the attempt, and throwing here would hang the others deep in
+      // their own receive sequences. Turn zombie instead: drop the log, stop
+      // folding, and let the abort word of the next agreement replicate the
+      // failure to everyone.
+      const auto recs =
+          e.k == wk - 1
+              ? recv_slot(plan.aggregators[static_cast<std::size_t>(
+                              serving_index(e.a, e.k))],
+                          recover_tag, slot_buf())
+              : std::nullopt;
+      if (!recs) {
+        aborting = true;
+        break;
+      }
+      fold_records(*recs);
     }
     slot_log.clear();
     deferring = false;
@@ -1021,92 +1012,105 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       do_watch(k, ropt.epoch_base + 2 * k);
       post_watch();
     }
+    // A zombie still owes each slot of this iteration a death note: its
+    // own, and every absorbed one.
     const bool serving_own =
-        !aborting && my_agg >= 0 &&
+        my_agg >= 0 &&
         agg_dead[static_cast<std::size_t>(std::max(my_agg, 0))] == 0;
 
     if (serving_own) {
       const pfs::ByteExtent c = plan.chunk(my_agg, k);
-      TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
-                  "cc.aggregation_rounds", 1);
-      const double wait0 = comm.wtime();
-      // A readahead-budget denial earlier left this chunk unissued: fetch
-      // it on demand now (never denied), keeping the take() order intact.
-      if (next_issue <= k) {
-        issue_read(k, false);
-        next_issue = k + 1;
-      }
-      stage::SourceChunk sc;
-      {
-        TRACE_SPAN(comm.engine(), "cc", "io");
-        sc = csrc.take();
-      }
-      stats.io_s += comm.wtime() - wait0;  // stall only; overlap is free
-      stats.bytes_read += sc.bytes_read;
-      stats.io_fallbacks += sc.fallbacks;
-      if (obj.verify.verify_chunks && c.length > 0) {
-        // End-to-end verification: checksum every read extent against the
-        // pristine content; re-read (charged) until it matches. Under
-        // staging the repaired bytes land in the cached entry, so a warm
-        // hit re-serves the verified copy.
-        const auto& truth = fs.store(ds.file()).pristine();
-        const double memcpy_bw = comm.runtime().config().memcpy_bw;
-        for (const auto& e : sc.extents) {
-          auto slice = sc.data.subspan(e.offset - c.offset, e.length);
-          const std::uint64_t want =
-              integrity::store_checksum(truth, e.offset, e.length);
-          comm.overhead(static_cast<double>(e.length) / memcpy_bw);
-          int tries = 0;
-          while (integrity::checksum(slice) != want) {
-            COLCOM_EXPECT_MSG(++tries <= obj.verify.max_reread,
-                              "chunk verification exceeded max_reread");
-            ++stats.verify_rereads;
-            fs.read(ds.file(), e.offset, slice);
-            comm.overhead(static_cast<double>(e.length) / memcpy_bw);
-          }
-          ++stats.chunks_verified;
+      bool owed = c.length > 0;  // receivers still wait on this slot
+      if (!aborting) or_zombie([&] {
+        TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
+                    "cc.aggregation_rounds", 1);
+        const double wait0 = comm.wtime();
+        // A readahead-budget denial earlier left this chunk unissued: fetch
+        // it on demand now (never denied), keeping the take() order intact.
+        if (next_issue <= k) {
+          issue_read(k, false);
+          next_issue = k + 1;
         }
-      }
-      // Mid-map process death: after the chunk read, before any of its
-      // records ship — the canonical "late in the iteration" crash. Placed
-      // before the k+1 prefetch so the dying fiber unwinds with no I/O in
-      // flight.
-      if (ftmode) mpi::ft::crash_point(comm, fault::Phase::mid_map);
-      // A timed role crash landing inside the iteration (not at a watch
-      // boundary) interrupts after the map: the records exist but never
-      // ship. Receivers get a 1-byte death notice and log the miss; the
-      // next watch announces it and the make-up protocol re-serves the
-      // slot — warm from the parked wreck, or cold from the PFS.
-      const bool interrupted =
-          watch &&
-          fi->schedule().aggregator_crashed(comm.rank(), comm.wtime());
-      if (!interrupted && pipelined) {
-        while (next_issue < end_iter && next_issue <= k + depth &&
-               issue_read(next_issue, true)) {
+        stage::SourceChunk sc;
+        {
+          TRACE_SPAN(comm.engine(), "cc", "io");
+          sc = csrc.take();
+        }
+        stats.io_s += comm.wtime() - wait0;  // stall only; overlap is free
+        stats.bytes_read += sc.bytes_read;
+        stats.io_fallbacks += sc.fallbacks;
+        if (obj.verify.verify_chunks && c.length > 0) {
+          // End-to-end verification: checksum every read extent against the
+          // pristine content; re-read (charged) until it matches, at most
+          // max_reread times, else fail with data_corrupt. Under staging the
+          // repaired bytes land in the cached entry, so a warm hit re-serves
+          // the verified copy.
+          const auto& truth = fs.store(ds.file()).pristine();
+          const double memcpy_bw = comm.runtime().config().memcpy_bw;
+          for (const auto& e : sc.extents) {
+            auto slice = sc.data.subspan(e.offset - c.offset, e.length);
+            const std::uint64_t want =
+                integrity::store_checksum(truth, e.offset, e.length);
+            comm.overhead(static_cast<double>(e.length) / memcpy_bw);
+            integrity::note_verified(integrity::Stage::pfs_read);
+            if (integrity::checksum(slice) != want) {
+              integrity::note_detected(integrity::Stage::pfs_read);
+              int tries = 0;
+              do {
+                if (++tries > obj.verify.max_reread) {
+                  throw integrity::make_corrupt_error(
+                      fault::Layer::core, integrity::Stage::pfs_read,
+                      "offset " + std::to_string(e.offset) +
+                          " still corrupt after " +
+                          std::to_string(obj.verify.max_reread) + " re-reads");
+                }
+                ++stats.verify_rereads;
+                fs.read(ds.file(), e.offset, slice);
+                comm.overhead(static_cast<double>(e.length) / memcpy_bw);
+              } while (integrity::checksum(slice) != want);
+              integrity::note_recovered(integrity::Stage::pfs_read,
+                                        static_cast<std::uint64_t>(tries) *
+                                            e.length);
+            }
+            ++stats.chunks_verified;
+          }
+        }
+        // Mid-map process death: after the chunk read, before any of its
+        // records ship — the canonical "late in the iteration" crash. Placed
+        // before the k+1 prefetch so the dying fiber unwinds with no I/O in
+        // flight.
+        mpi::ft::crash_point(comm, fault::Phase::mid_map);
+        // A timed role crash landing inside the iteration (not at a watch
+        // boundary) interrupts after the map: the records exist but never
+        // ship. Receivers get a 1-byte death notice and log the miss; the
+        // next watch announces it and the make-up protocol re-serves the
+        // slot — warm from the parked wreck, or cold from the PFS.
+        const bool interrupted =
+            watch &&
+            fi->schedule().aggregator_crashed(comm.rank(), comm.wtime());
+        if (!interrupted && pipelined) {
+          while (next_issue < end_iter && next_issue <= k + depth &&
+                 issue_read(next_issue, true)) {
+            ++next_issue;
+          }
+        }
+        process_chunk(c, sc.data, plan.domain_requests, sc.service_s,
+                      partial_tag, !interrupted);
+        if (interrupted && c.length > 0) {
+          wreck = Wreck{k, std::move(batch)};
+          note_receivers(c, plan.domain_requests, partial_tag);
+        }
+        owed = false;
+        csrc.release();
+        // Blocking two-phase: only start the next read after this chunk is
+        // fully processed.
+        if (!interrupted && !pipelined && next_issue == k + 1 &&
+            next_issue < end_iter) {
+          issue_read(next_issue, false);
           ++next_issue;
         }
-      }
-      process_chunk(c, sc.data, plan.domain_requests, sc.service_s,
-                    partial_tag, !interrupted);
-      if (interrupted && c.length > 0) {
-        wreck = Wreck{k, std::move(batch)};
-        const std::span<const std::byte> note(&death_note, 1);
-        if (a2one) {
-          sends.push_back(comm.isend(obj.root, partial_tag, note));
-        } else {
-          for (const PartialRecord& rec : wreck->batch) {
-            sends.push_back(comm.isend(rec.origin, partial_tag, note));
-          }
-        }
-      }
-      csrc.release();
-      // Blocking two-phase: only start the next read after this chunk is
-      // fully processed.
-      if (!interrupted && !pipelined && next_issue == k + 1 &&
-          next_issue < end_iter) {
-        issue_read(next_issue, false);
-        ++next_issue;
-      }
+      });
+      if (owed) note_receivers(c, plan.domain_requests, partial_tag);
     }
 
     // Serve this iteration's chunks of every dead aggregator assigned to
@@ -1124,7 +1128,12 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         if (serving_index(d, k) != my_agg) continue;
         const pfs::ByteExtent c = plan.chunk(d, k);
         if (c.length == 0) continue;
-        serve_dead_chunk(csrc, c, d, "absorb", absorb_tag);
+        if (!aborting && or_zombie([&] {
+              serve_dead_chunk(csrc, c, d, "absorb", absorb_tag);
+            })) {
+          continue;
+        }
+        note_receivers(c, absorbed[static_cast<std::size_t>(d)], absorb_tag);
       }
     }
 
@@ -1188,35 +1197,25 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     post_watch();
     recover_slots(end_iter);
     settle_sends();
-  }
-
-  if (recover) {
     if (!partial) {
       // Settle: a rank that turned zombie *during* the final watch's
       // recovery (its absorber died re-serving the last slot) has no later
       // watch to replicate the abort — without this agreement the others
-      // would hang on it in the final reduce. One extra word-wide agree,
-      // only on the recovery path, decides the attempt for everyone.
+      // would hang on it in the final reduce. One word-wide agree decides
+      // the attempt, and who is alive for the reduce, for everyone.
       std::vector<std::uint64_t> settle(1, aborting ? 1 : 0);
       const mpi::ft::Verdict v =
           mpi::ft::agree(comm, settle, ropt.epoch_base + 2 * end_iter + 2);
       for (int r = 0; r < comm.size(); ++r) {
         if (v.dead_bit(r)) proc_dead[static_cast<std::size_t>(r)] = 1;
       }
-      if ((v.mask[0] & 1) != 0 || aborting) {
-        throw fault::Error(fault::Layer::core, fault::Kind::slice_aborted,
-                           "a rank abandoned this slice attempt");
-      }
-      if (a2one && proc_dead[static_cast<std::size_t>(obj.root)] != 0) {
-        throw fault::Error(fault::Layer::core, fault::Kind::root_failed,
-                           obj.root, "the reduction root process died");
-      }
+      if ((v.mask[0] & 1) != 0) raise_abort();
+      check_viable();
     } else if (aborting) {
       // A partial window runs no further collective: the zombie throws
       // locally (its accumulators are incomplete and must not be parked)
       // and the scheduler's outcome agreement replicates the failure.
-      throw fault::Error(fault::Layer::core, fault::Kind::slice_aborted,
-                         "a rank abandoned this slice attempt");
+      raise_abort();
     }
   }
 
@@ -1230,9 +1229,8 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   }
 
   // ---- final reduce ----
-  const bool any_proc_dead =
-      std::any_of(proc_dead.begin(), proc_dead.end(),
-                  [](char c) { return c != 0; });
+  // The settle's check_viable guarantees an alive root here, and no death
+  // at all under all_to_all.
   if (a2one) {
     const double t0 = comm.wtime();
     if (i_am_root) {
@@ -1257,7 +1255,8 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     }
     if (obj.broadcast_result) {
       std::uint8_t flag = out.has_global ? 1 : 0;
-      if (any_proc_dead) {
+      if (std::any_of(proc_dead.begin(), proc_dead.end(),
+                      [](char c) { return c != 0; })) {
         // A world bcast would hang on the dead members: broadcast over the
         // verdict-derived survivor group instead (every alive rank holds
         // the same proc_dead registry, so the groups match).
@@ -1266,8 +1265,6 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
           if (proc_dead[static_cast<std::size_t>(r)] == 0) members.push_back(r);
         }
         mpi::ft::Group g(comm, std::move(members), ropt.epoch_base + end_iter);
-        COLCOM_EXPECT_MSG(g.member(obj.root),
-                          "the reduction root process died");
         int root_index = 0;
         for (std::size_t i = 0; i < g.members().size(); ++i) {
           if (g.members()[i] == obj.root) root_index = static_cast<int>(i);
@@ -1288,9 +1285,6 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     }
     stats.reduce_s += comm.wtime() - t0;
   } else {
-    COLCOM_EXPECT_MSG(!any_proc_dead,
-                      "all_to_all reduction requires every process alive "
-                      "(use all_to_one under process-crash chaos)");
     if (!my_acc.empty() && stats.elements > 0) {
       out.has_mine = true;
       std::memcpy(out.mine, my_acc.value(), esize);

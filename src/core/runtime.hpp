@@ -106,26 +106,28 @@ struct RunOptions {
   std::vector<std::byte>* mid = nullptr;
 
   /// Base of the agreement-epoch block this run may use (crash watches,
-  /// survivor groups). 0 keeps the legacy in-run numbering; a scheduler
-  /// resubmitting failed slices must hand every attempt a fresh disjoint
-  /// block so no two attempts ever share an agreement tag.
+  /// the final settle agreement, survivor groups): epochs up to
+  /// base + 2 * end_iter + 2. A scheduler resubmitting failed slices must
+  /// hand every attempt a fresh disjoint block so no two attempts ever
+  /// share an agreement tag.
   int epoch_base = 0;
   /// Salt folded into the runtime's data-plane tags (shuffle, absorb,
-  /// recover, final fold). 0 keeps the legacy tags; a resubmitted attempt
+  /// recover, final fold). 0 uses the unsalted tags; a resubmitted attempt
   /// must use a fresh salt so stale in-flight messages of the failed
   /// attempt can never match the retry's receives.
   int tag_salt = 0;
-  /// Opt into end-to-end recovery semantics: instead of aborting via
-  /// COLCOM_EXPECT, unsatisfiable runs throw structured fault::Error on
-  /// EVERY alive rank (replicated via the crash-watch agreement), so a
-  /// scheduler can roll the job back to its parked mid and resubmit.
-  /// Off preserves the legacy fail-stop behavior bit for bit.
-  bool recover = false;
 };
 
 /// Runs collective computing over a caller-provided two-phase plan (built
 /// with detail::cc_hints for an object of the same shape) — the fast path
 /// of IterativeComputer, which shifts one cached plan across time windows.
+/// When the chaos schedule can kill an aggregator role or a process
+/// (fault::Injector::watch_aggregators), every iteration runs a crash watch
+/// over mpi::ft::agree. A death the runtime can heal recovers
+/// bit-identically; one it cannot heal throws the same fault::Error
+/// (unrecoverable, root_failed or slice_aborted) on every alive rank. A
+/// fault::Error raised by one aggregator's own reads ends the run at the
+/// next watch: that rank rethrows it, the others throw slice_aborted.
 CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
                                      const ObjectIO& obj,
                                      const romio::TwoPhasePlan& plan,

@@ -260,8 +260,12 @@ class Injector {
   const FaultStats& stats() const { return stats_; }
 
   bool net_loss_enabled() const { return schedule_.has_msg_loss(); }
+  /// True when the schedule can kill an aggregator role (a timed
+  /// aggregator_crash event) or a process (a crash point). The one "can
+  /// kill" check: collective computing then runs its agreed crash watch,
+  /// and svc::ServiceContext agrees on every slice's outcome.
   bool watch_aggregators() const {
-    return schedule_.has_aggregator_crashes();
+    return schedule_.has_aggregator_crashes() || schedule_.has_crash_points();
   }
   bool has_stragglers() const { return schedule_.has_stragglers(); }
   bool has_degraded_links() const { return schedule_.has_degraded_links(); }

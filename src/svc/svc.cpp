@@ -51,8 +51,8 @@ constexpr int kParkTag = -2700;
   return true;
 }();
 
-/// Base of the service's agreement-epoch space. The runtime's legacy
-/// in-run epochs are tiny (2 * n_iters + 2) and stage flush groups live at
+/// Base of the service's agreement-epoch space. A run with epoch_base 0
+/// uses tiny epochs (up to 2 * n_iters + 2) and stage flush groups live at
 /// (1 << 20) + seq, so starting the per-attempt blocks here keeps every
 /// agreement and survivor-group tag namespace disjoint.
 constexpr int kSvcEpochBase = 1 << 22;
@@ -444,7 +444,7 @@ void ServiceContext::finish(Job& j, bool aborted) {
 
 bool ServiceContext::recovery_active() const {
   fault::Injector* fi = comm_->runtime().chaos();
-  return fi != nullptr && fi->schedule().has_crash_points();
+  return fi != nullptr && fi->watch_aggregators();
 }
 
 void ServiceContext::sync_clock() {
@@ -632,7 +632,6 @@ void ServiceContext::run_slice(Job& j) {
     // Every attempt — first or resubmitted — gets a disjoint agreement-
     // epoch block and a fresh data-plane tag salt, so nothing of a failed
     // attempt (stale messages, stale agreements) can ever match a retry.
-    ropt.recover = true;
     ropt.epoch_base = epoch_cursor_;
     ropt.tag_salt = salt_cursor_++;
     const int span = 2 * j.plan.n_iters + 8;

@@ -33,19 +33,25 @@
 // rank faults inside a slice (role crashes, storage faults) are handled by
 // the core runtime's watch/replan machinery with bit-identical recovery.
 //
-// svc::Recovery (end-to-end, process deaths): when chaos crash points are
-// installed, every slice runs with core::RunOptions::recover — a failed
-// attempt surfaces as a replicated fault::Error instead of an abort or a
-// hang. The service snapshots the job's parked `mid` before each attempt,
-// agrees on the attempt's outcome (one extra ft::agree whose mask also
-// merges every survivor's clock into the replicated virtual clock), rolls
-// back to the snapshot on failure and resubmits on the shrunken world with
-// a fresh agreement-epoch block and tag salt — resuming at the iteration
-// boundary, bit-identical to an uninterrupted run. Per-job policy bounds
-// the recovery: a retry budget with exponential backoff, virtual-time
-// deadlines (SLOs), and admission-control shedding (queue depth + deadline
-// feasibility) turn every exhausted budget into a structured JobResult —
-// a job ends done, failed-with-reason, or shed; never lost, never hung.
+// svc::Recovery (end-to-end): whenever the chaos schedule can kill an
+// aggregator role or a process (fault::Injector::watch_aggregators, the
+// same check that arms the core runtime's crash watch), a slice attempt
+// the runtime cannot heal surfaces as a replicated fault::Error instead of
+// an abort or a hang. The service snapshots the job's parked `mid` before
+// each attempt, agrees on the attempt's outcome (one extra ft::agree whose
+// mask also merges every survivor's clock into the replicated virtual
+// clock), rolls back to the snapshot on failure and resubmits on the
+// shrunken world with a fresh agreement-epoch block and tag salt —
+// resuming at the iteration boundary, bit-identical to an uninterrupted
+// run; a fatal verdict (every aggregator dead, a dead root, corruption
+// past its budget) fails the job instead. A fault raised on one rank alone,
+// such as an aggregator's read past its retries, ends the attempt on every
+// rank at the runtime's next agreement, classified by that fault. Per-job
+// policy bounds the recovery: a retry budget with exponential backoff,
+// virtual-time deadlines (SLOs), and admission-control shedding (queue
+// depth + deadline feasibility) turn every exhausted budget into a
+// structured JobResult — a job ends done, failed-with-reason, or shed;
+// never lost, never hung.
 // See docs/SERVICE.md and docs/ROBUSTNESS.md.
 #pragma once
 
@@ -309,8 +315,9 @@ class ServiceContext {
   void shed_job(Job& j, FailReason r);
   /// Agreed-failed attempt: decide retry (backoff) vs structured failure.
   void handle_slice_failure(Job& j, FailReason why, bool retryable);
-  /// True when chaos crash points are installed: slices run with
-  /// core::RunOptions::recover and every attempt's outcome is agreed.
+  /// True when the chaos schedule can kill an aggregator role or a process
+  /// (fault::Injector::watch_aggregators): every attempt's outcome is then
+  /// agreed, and a failed one is retried or failed with a FailReason.
   bool recovery_active() const;
   /// Merges every rank's clock into agreed_now_ (collective).
   void sync_clock();

@@ -1,12 +1,16 @@
 // Tests for the future-work extensions: iterative collective computing
 // (plan reuse), nonblocking collective I/O, and chunk verification under
-// injected corruption.
+// injected corruption (healed by re-reads, or a structured data_corrupt
+// once they run out).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/iterative.hpp"
 #include "core/runtime.hpp"
+#include "fault/fault.hpp"
+#include "integrity/integrity.hpp"
 #include "mpi/runtime.hpp"
 #include "ncio/dataset.hpp"
 #include "pfs/fault.hpp"
@@ -183,6 +187,7 @@ TEST(Verify, DetectsAndRepairsCorruption) {
   });
   std::vector<double> got(static_cast<std::size_t>(nprocs), -1);
   std::uint64_t rereads = 0;
+  integrity::reset_stats();
   rt.run([&](mpi::Comm& c) {
     ObjectIO io;
     io.var = ds.var("v");
@@ -198,6 +203,46 @@ TEST(Verify, DetectsAndRepairsCorruption) {
   });
   for (double g : got) EXPECT_NEAR(g, truth, std::abs(truth) * 1e-12 + 1e-9);
   EXPECT_GT(rereads, 0u);  // faults actually happened and were repaired
+  // Every corrupt extent is one pfs.read episode, and every one healed.
+  const integrity::Stats& is = integrity::stats();
+  EXPECT_GT(is.detected, 0u);
+  EXPECT_EQ(is.detected, is.recovered);
+  EXPECT_EQ(is.failed, 0u);
+}
+
+TEST(Verify, ExhaustedRereadsFailWithDataCorrupt) {
+  const int nprocs = 4;
+  mpi::Runtime rt(small_machine(), nprocs);
+  auto ds = make_ds(rt.fs(), {16, 8, 16});
+  // Every read of an extent comes back corrupt for its first 10 attempts,
+  // more than the default max_reread of 3 re-reads can outlast.
+  rt.fs().wrap_store(ds.file(), [](std::unique_ptr<pfs::Store> base) {
+    return std::make_unique<pfs::FaultyStore>(std::move(base), 1.0, 99, 10);
+  });
+  integrity::reset_stats();
+  bool data_corrupt = false;
+  std::string what;
+  try {
+    rt.run([&](mpi::Comm& c) {
+      ObjectIO io;
+      io.var = ds.var("v");
+      io.start = {0, static_cast<std::uint64_t>(2 * c.rank()), 0};
+      io.count = {16, 2, 16};
+      io.op = mpi::Op::sum();
+      io.hints.cb_buffer_size = 2048;
+      io.verify.verify_chunks = true;
+      CcOutput out;
+      collective_compute(c, ds, io, out);
+    });
+  } catch (const fault::Error& e) {
+    data_corrupt = e.kind() == fault::Kind::data_corrupt;
+    what = e.what();
+  }
+  EXPECT_TRUE(data_corrupt);
+  EXPECT_NE(what.find("pfs.read"), std::string::npos) << what;
+  const integrity::Stats& is = integrity::stats();
+  EXPECT_GT(is.failed, 0u);
+  EXPECT_EQ(is.detected, is.recovered + is.failed);
 }
 
 TEST(Verify, NoOverheadCounterWhenClean) {

@@ -1,8 +1,9 @@
 // Chaos tests: seeded fault schedules, the MPI retransmit protocol,
 // aggregator failover, degraded links, stragglers, PFS retry exhaustion and
 // checkpoint/restart. The invariant throughout: under every injected fault
-// class the analysis result is bit-identical to the fault-free run, and the
-// same seed reproduces the same virtual-time trace.
+// class the analysis result is bit-identical to the fault-free run (or, with
+// no aggregator left to heal with, the run ends in a structured
+// fault::Error), and the same seed reproduces the same virtual-time trace.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -205,6 +206,7 @@ struct CcRun {
   float value = 0;
   core::CcStats stats;       // rank 0's stats
   fault::FaultStats faults;  // whole-machine fault counters
+  int unrecoverable = 0;     // ranks that ended in fault::Error{unrecoverable}
 };
 
 constexpr int kProcs = 8;
@@ -248,7 +250,19 @@ CcRun run_cc(const fault::ChaosConfig& chaos,
     io.op = mpi::Op::sum();
     io.hints.cb_buffer_size = 8192;
     core::CcOutput out;
-    const auto st = core::collective_compute(comm, ds, io, out);
+    core::CcStats st;
+    try {
+      st = core::collective_compute(comm, ds, io, out);
+    } catch (const fault::Error& e) {
+      // Caught on the rank, so every rank's fiber ends and the world winds
+      // down cleanly; any other fault stays a test failure.
+      if (e.layer() != fault::Layer::core ||
+          e.kind() != fault::Kind::unrecoverable) {
+        throw;
+      }
+      ++res.unrecoverable;
+      return;
+    }
     if (comm.rank() == 0) {
       res.value = out.global_as<float>();
       res.stats = st;
@@ -265,7 +279,7 @@ TEST(CcChaos, AggregatorCrashFailsOverBitIdentically) {
   cfg.seed = chaos_seed();
   // Crash rank 4 (the second aggregator) just after planning starts: it is
   // still selected (alive at t=0) and detected at the first crash-watch
-  // allreduce, so survivors absorb its whole file domain.
+  // agreement, so survivors absorb its whole file domain.
   fault::ChaosEvent crash;
   crash.kind = fault::Kind::aggregator_crash;
   crash.subject = 4;
@@ -275,9 +289,28 @@ TEST(CcChaos, AggregatorCrashFailsOverBitIdentically) {
   EXPECT_GT(a.stats.replans, 0u);
   EXPECT_GT(a.faults.absorbed_chunks, 0u);
   EXPECT_EQ(a.faults.replans, 1u);
+  EXPECT_GT(a.faults.agreement_rounds, 0u);
   const CcRun b = run_cc(cfg, {crash});
   EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.faults.absorbed_chunks, b.faults.absorbed_chunks);
+}
+
+TEST(CcChaos, EveryAggregatorRoleCrashedFailsUnrecoverable) {
+  // Both aggregators (ranks 0 and 4) lose their role at the same instant,
+  // with no crash point on the schedule: nobody is left to serve I/O, so
+  // the first crash-watch agreement ends the run in the same structured
+  // error on every rank.
+  fault::ChaosConfig cfg;
+  cfg.seed = chaos_seed();
+  std::vector<fault::ChaosEvent> crashes;
+  for (const int rank : {0, 4}) {
+    fault::ChaosEvent crash;
+    crash.kind = fault::Kind::aggregator_crash;
+    crash.subject = rank;
+    crash.at = 1e-6;
+    crashes.push_back(crash);
+  }
+  EXPECT_EQ(run_cc(cfg, crashes).unrecoverable, kProcs);
 }
 
 TEST(CcChaos, PreRunCrashExcludesAggregatorFromSelection) {

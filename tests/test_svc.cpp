@@ -3,8 +3,10 @@
 // with overlap-affinity, cross-query staging reuse, per-job bit-identity
 // against solo collective_compute runs, and fault isolation: a tenant-local
 // chaos abort kills exactly one job, an aggregator role crash mid-service
-// degrades no job's result. CI sweeps COLCOM_CHAOS_SEED and COLCOM_CHECK=1
-// over this suite (see scripts/ci.sh).
+// degrades no job's result, and losing every aggregator — or an
+// aggregator's reads — fails jobs with a reason instead of taking the
+// service down or hanging it. CI sweeps COLCOM_CHAOS_SEED and
+// COLCOM_CHECK=1 over this suite (see scripts/ci.sh).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,6 +18,7 @@
 #include "fault/chaos.hpp"
 #include "mpi/runtime.hpp"
 #include "ncio/dataset.hpp"
+#include "pfs/fault.hpp"
 #include "pfs/store.hpp"
 #include "stage/stage.hpp"
 #include "svc/svc.hpp"
@@ -97,10 +100,21 @@ struct JobDef {
   int tenant = 0;
   int priority = 0;
   int weight = 1;
+  bool verify = false;  ///< check every chunk against the pristine store
+};
+
+/// Faults beneath the service: PFS requests that fail transiently (past
+/// every retry at 1.0), and reads that come back corrupt for their first
+/// `corrupt_attempts` tries.
+struct Storage {
+  double fail_prob = 0;
+  double corrupt_prob = 0;
+  int corrupt_attempts = 1;
 };
 
 struct SvcRun {
   std::vector<svc::JobState> st;
+  std::vector<svc::FailReason> reason;
   std::vector<float> value;   ///< valid where st == done
   std::vector<double> lat;    ///< submit-to-finish latency (rank 0)
   std::vector<int> slices;
@@ -114,8 +128,11 @@ struct SvcRun {
 SvcRun run_service(const svc::ServiceConfig& cfg,
                    const std::vector<JobDef>& jobs,
                    const fault::ChaosConfig* chaos = nullptr,
-                   const std::vector<fault::ChaosEvent>& events = {}) {
-  mpi::Runtime rt(small_machine(), kProcs);
+                   const std::vector<fault::ChaosEvent>& events = {},
+                   const Storage& storage = {}) {
+  mpi::MachineConfig machine = small_machine();
+  machine.pfs.transient_fail_prob = storage.fail_prob;
+  mpi::Runtime rt(machine, kProcs);
   if (chaos != nullptr || !events.empty()) {
     fault::ChaosConfig cc = chaos != nullptr ? *chaos : fault::ChaosConfig{};
     fault::ChaosSchedule sched(cc, rt.n_nodes(), kProcs, 8);
@@ -123,9 +140,17 @@ SvcRun run_service(const svc::ServiceConfig& cfg,
     rt.install_chaos(std::move(sched));
   }
   auto ds = make_ds(rt.fs());
+  if (storage.corrupt_prob > 0) {
+    rt.fs().wrap_store(ds.file(), [&](std::unique_ptr<pfs::Store> base) {
+      return std::make_unique<pfs::FaultyStore>(std::move(base),
+                                                storage.corrupt_prob, 99,
+                                                storage.corrupt_attempts);
+    });
+  }
   const auto n = jobs.size();
   SvcRun res;
   res.st.resize(n);
+  res.reason.resize(n, svc::FailReason::none);
   res.value.resize(n, 0.0f);
   res.lat.resize(n, 0.0);
   res.slices.resize(n, 0);
@@ -142,12 +167,14 @@ SvcRun run_service(const svc::ServiceConfig& cfg,
       s.io = make_io(ds, jd.slab, c.rank());
       s.priority = jd.priority;
       s.weight = jd.weight;
+      s.io.verify.verify_chunks = jd.verify;
       ids.push_back(sc.submit(std::move(s)));
     }
     sc.run_all();
     if (c.rank() != 0) return;
     for (std::size_t i = 0; i < n; ++i) {
       res.st[i] = sc.state(ids[i]);
+      res.reason[i] = sc.result(ids[i]).reason;
       res.lat[i] = sc.latency_s(ids[i]);
       res.slices[i] = sc.slices_run(ids[i]);
       res.cc[i] = sc.job_stats(ids[i]);
@@ -447,6 +474,103 @@ TEST(Svc, AggregatorRoleCrashMidServiceDegradesNoResult) {
   EXPECT_GE(r.faults.replans, 1u);
   EXPECT_TRUE(bit_equal(r.value[0], pilot.value[0]));
   EXPECT_TRUE(bit_equal(r.value[1], pilot.value[1]));
+}
+
+TEST(Svc, EveryAggregatorRoleCrashedFailsJobsNotTheService) {
+  svc::ServiceConfig cfg;
+  cfg.policy = svc::Policy::fifo;
+  cfg.max_concurrent = 2;
+  cfg.slice_iters = 2;
+  const std::vector<JobDef> jobs = {{Slab{"v", 0, 32}, 0},
+                                    {Slab{"u", 0, 32}, 1}};
+  // Pilot with both aggregators' crashes parked beyond the horizon: the
+  // clean values and the run's span.
+  std::vector<fault::ChaosEvent> crashes;
+  for (const int rank : {0, 4}) {
+    fault::ChaosEvent crash;
+    crash.kind = fault::Kind::aggregator_crash;
+    crash.subject = rank;
+    crash.at = 1e9;
+    crashes.push_back(crash);
+  }
+  fault::ChaosConfig cc;
+  cc.seed = chaos_seed();
+  const SvcRun pilot = run_service(cfg, jobs, &cc, crashes);
+  ASSERT_EQ(pilot.st[0], svc::JobState::done);
+  ASSERT_EQ(pilot.st[1], svc::JobState::done);
+
+  // Now both aggregators lose their role mid-service: nothing is left to
+  // serve I/O, so the slice that sees it fails on every rank. run_all
+  // returns, and every job ends done (bit-identical) or failed with a
+  // reason, never lost and never taking the service down.
+  for (fault::ChaosEvent& crash : crashes) crash.at = pilot.elapsed * 0.5;
+  const SvcRun r = run_service(cfg, jobs, &cc, crashes);
+  int failed = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (r.st[i] == svc::JobState::done) {
+      EXPECT_TRUE(bit_equal(r.value[i], pilot.value[i])) << "job " << i;
+    } else {
+      EXPECT_EQ(r.st[i], svc::JobState::failed) << "job " << i;
+      EXPECT_EQ(r.reason[i], svc::FailReason::unrecoverable) << "job " << i;
+      ++failed;
+    }
+  }
+  EXPECT_GE(failed, 1);
+}
+
+// An aggregator's read that fails on that rank alone must not strand its
+// receivers: the rank turns zombie, notes every slot it owes, and the next
+// crash-watch agreement fails the attempt everywhere. A role crash parked
+// beyond the horizon arms the watch without ever firing.
+std::vector<fault::ChaosEvent> parked_role_crash() {
+  fault::ChaosEvent crash;
+  crash.kind = fault::Kind::aggregator_crash;
+  crash.subject = 4;
+  crash.at = 1e9;
+  return {crash};
+}
+
+TEST(Svc, AggregatorReadFailureUnderRoleCrashesRetriesThenFails) {
+  svc::ServiceConfig cfg;
+  cfg.policy = svc::Policy::fifo;
+  cfg.max_concurrent = 2;
+  cfg.slice_iters = 2;
+  const std::vector<JobDef> jobs = {{Slab{"v", 0, 32}, 0},
+                                    {Slab{"u", 0, 32}, 1}};
+  fault::ChaosConfig cc;
+  cc.seed = chaos_seed();
+  Storage storage;
+  storage.fail_prob = 1.0;  // every PFS request fails past its retries
+  // A read past its retry budget is transient: each attempt is resubmitted
+  // until the job's budget runs out, and run_all returns.
+  const SvcRun r = run_service(cfg, jobs, &cc, parked_role_crash(), storage);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(r.st[i], svc::JobState::failed) << "job " << i;
+    EXPECT_EQ(r.reason[i], svc::FailReason::retry_budget) << "job " << i;
+  }
+  EXPECT_EQ(r.stats.retries, 2u * static_cast<std::uint64_t>(cfg.max_retries));
+}
+
+TEST(Svc, ExhaustedChunkVerifyUnderRoleCrashesFailsDataCorrupt) {
+  svc::ServiceConfig cfg;
+  cfg.policy = svc::Policy::fifo;
+  cfg.max_concurrent = 2;
+  cfg.slice_iters = 2;
+  std::vector<JobDef> jobs = {{Slab{"v", 0, 32}, 0}, {Slab{"u", 0, 32}, 1}};
+  for (JobDef& jd : jobs) jd.verify = true;
+  fault::ChaosConfig cc;
+  cc.seed = chaos_seed();
+  Storage storage;
+  storage.corrupt_prob = 1.0;
+  storage.corrupt_attempts = 10;  // more than max_reread (3) can outlast
+  // The bytes are gone at every re-read: the aggregator's data_corrupt is
+  // the attempt's agreed verdict, so no job is ever resubmitted.
+  const SvcRun r = run_service(cfg, jobs, &cc, parked_role_crash(), storage);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(r.st[i], svc::JobState::failed) << "job " << i;
+    EXPECT_EQ(r.reason[i], svc::FailReason::data_corrupt) << "job " << i;
+  }
+  EXPECT_EQ(r.stats.retries, 0u);
 }
 
 }  // namespace
