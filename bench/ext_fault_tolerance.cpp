@@ -5,8 +5,9 @@
 // A chaos sweep over every injected fault class, all deterministic:
 //  * transient OST timeouts retried by the storage layer (and, past the
 //    retry budget, recovered by independent re-reads);
-//  * silent data corruption caught by end-to-end chunk checksums
-//    (verify_chunks) and repaired by re-reading;
+//  * silent data corruption of PFS chunk reads (chaos pfs_corrupt_prob),
+//    caught by each read's checksum guard in romio::ChunkReader and
+//    repaired by re-reading (verify_rereads counts the healed extents);
 //  * network message loss absorbed by the MPI ack/retransmit protocol;
 //  * degraded links and straggler ranks (slowdowns, no data risk);
 //  * an aggregator crash re-planned around by the surviving aggregators.
@@ -29,7 +30,7 @@
 
 #include "bench_common.hpp"
 #include "fault/chaos.hpp"
-#include "pfs/fault.hpp"
+#include "integrity/integrity.hpp"
 
 using namespace colcom;
 
@@ -41,7 +42,6 @@ struct Config {
   std::string cls;   // fault class label
   double rate = 0;   // headline injection rate/factor for the table
   double transient_prob = 0;
-  double corrupt_prob = 0;
   fault::ChaosConfig chaos{};
   int crash_rank = -1;      // explicit aggregator crash when >= 0
   double crash_at = 1e-4;
@@ -52,12 +52,13 @@ struct Run {
   float value = 0;
   bool exact = false;  // filled by the sweep loop (bitwise vs clean)
   std::uint64_t pfs_retries = 0;
-  std::uint64_t rereads = 0;
+  std::uint64_t rereads = 0;  // corrupted chunk-read extents healed
   fault::FaultStats faults{};
   std::uint64_t replans = 0;  // max over ranks (each rank replans once)
 };
 
 Run run_once(const Config& c) {
+  integrity::reset_stats();
   auto machine = bench::paper_machine();
   machine.pfs.transient_fail_prob = c.transient_prob;
   machine.pfs.retry_delay_s = 0.05;
@@ -73,12 +74,6 @@ Run run_once(const Config& c) {
     rt.install_chaos(std::move(sched));
   }
   auto ds = bench::make_climate_dataset(rt.fs(), {192, 192, 512});
-  if (c.corrupt_prob > 0) {
-    rt.fs().wrap_store(ds.file(), [&](std::unique_ptr<pfs::Store> base) {
-      return std::make_unique<pfs::FaultyStore>(std::move(base),
-                                                c.corrupt_prob, 0xfa17);
-    });
-  }
   Run res;
   std::vector<core::CcStats> stats(kProcs);
   rt.run([&](mpi::Comm& comm) {
@@ -89,7 +84,6 @@ Run run_once(const Config& c) {
     io.count = {192, 4, 512};
     io.op = mpi::Op::sum();
     io.hints.cb_buffer_size = 4ull << 20;
-    io.verify.verify_chunks = c.corrupt_prob > 0;
     core::CcOutput out;
     stats[static_cast<std::size_t>(comm.rank())] =
         core::collective_compute(comm, ds, io, out);
@@ -97,10 +91,8 @@ Run run_once(const Config& c) {
   });
   res.elapsed = rt.elapsed();
   res.pfs_retries = rt.fs().stats().retries;
-  for (const auto& st : stats) {
-    res.rereads += st.verify_rereads;
-    res.replans = std::max(res.replans, st.replans);
-  }
+  res.rereads = integrity::stats().recovered;
+  for (const auto& st : stats) res.replans = std::max(res.replans, st.replans);
   if (rt.chaos() != nullptr) res.faults = rt.chaos()->stats();
   return res;
 }
@@ -206,8 +198,9 @@ int main(int argc, char** argv) {
     sweep.push_back({.cls = "transient OST", .rate = p, .transient_prob = p});
   }
   for (double p : {0.01, 0.05}) {
-    sweep.push_back(
-        {.cls = "silent corruption", .rate = p, .corrupt_prob = p});
+    Config c{.cls = "silent corruption", .rate = p};
+    c.chaos.pfs_corrupt_prob = p;
+    sweep.push_back(c);
   }
   for (double p : {0.01, 0.05}) {
     Config c{.cls = "message loss", .rate = p};

@@ -109,15 +109,17 @@ chaos_stage() {
       "$BUILD_DIR-asan/tests/test_ft"
     COLCOM_CHAOS_SEED="$seed" COLCOM_CHECK=1 timeout "$BUDGET" \
       "$BUILD_DIR-asan/tests/test_svc_recovery"
-    # test_integrity plants corruption chaos at every custody layer (cache
+    # test_integrity plants corruption chaos at every custody layer (PFS
+    # chunk reads — own, absorbed, make-up, staged-miss and baseline — cache
     # rot, torn write-behind, stream payloads, checkpoint generations) and
     # asserts heal-bit-identical or structured data_corrupt — never a
     # silently wrong answer — at every seed.
     COLCOM_CHAOS_SEED="$seed" COLCOM_CHECK=1 timeout "$BUDGET" \
       "$BUILD_DIR-asan/tests/test_integrity"
   done
-  # test_fault is seed-independent (storage faults roll from pfs.fault_seed);
-  # one sanitizer pass suffices.
+  # test_fault keeps only the transient-OST tests, which are
+  # seed-independent (they roll from pfs.fault_seed); one sanitizer pass
+  # suffices.
   step "chaos run (storage fault suite)"
   COLCOM_CHECK=1 timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_fault"
   # The long-horizon soak: hundreds of jobs against composed faults

@@ -19,13 +19,17 @@ Rules
   include       headers use #pragma once; no "../" relative includes; every
                 quoted project include must resolve under src/.
   raw-checksum  checksums in simulated code go through integrity::checksum /
-                integrity::Hasher / integrity::store_checksum (trace-metered,
-                samplable, combinable), never a private copy of the
-                primitive: a hand-rolled hash loop bypasses the integrity
-                accounting that the detected == recovered + failed invariant
-                audits. A copy is recognised by the XXH64 round constants
+                integrity::Hasher (trace-metered, samplable, combinable),
+                never a private copy of the primitive: a hand-rolled hash
+                loop bypasses the integrity accounting that the
+                detected == recovered + failed invariant audits. A copy is
+                recognised by the XXH64 round constants
                 PRIME64_1 / PRIME64_2 as hex literals anywhere outside
                 src/integrity/, where the one implementation lives.
+  oracle-read   no code calls Store::pristine(): a verifier must check bytes
+                against a guard taken where the store served them (as
+                romio::ChunkReader does), never against a trustworthy copy
+                of the store that no real system has.
   raw-tag       internal message tags live in the negative space below -1000
                 and must be spelled as named constexpr constants (kPlanTag,
                 kAgreeTagBase, ...) registered with check::register_tag — a
@@ -76,6 +80,15 @@ CONSTEXPR_DEF = re.compile(r"\bconstexpr\b")
 # raw-checksum above): XXH64 PRIME64_1 and PRIME64_2.
 CHECKSUM_CONSTANT = re.compile(r"0x9e3779b185ebca87|0xc2b2ae3d27d4eb4f",
                                re.IGNORECASE)
+
+# Store::pristine() (see oracle-read above). A declaration returns
+# `const Store&`, so the name follows `&` there and is not a call.
+PRISTINE = re.compile(r"\bpristine\s*\(")
+
+
+def calls_pristine(code: str) -> bool:
+    return any(not code[:m.start()].rstrip().endswith("&")
+               for m in PRISTINE.finditer(code))
 
 LINE_COMMENT = re.compile(r"//.*$")
 STRING = re.compile(r'"(\\.|[^"\\])*"')
@@ -147,6 +160,12 @@ def lint_file(path: Path, src_root: Path, findings: list) -> None:
                 (rel, i, "raw-checksum",
                  "checksum round constant outside src/integrity/ (use "
                  "integrity::checksum / integrity::Hasher)")
+            )
+        if calls_pristine(code) and not waived(raw, "oracle-read"):
+            findings.append(
+                (rel, i, "oracle-read",
+                 "Store::pristine() call (verify against a guard taken "
+                 "where the store served the bytes)")
             )
         if (
             RAW_TAG.search(code)

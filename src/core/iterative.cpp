@@ -46,10 +46,10 @@ struct CkptSlot {
 };
 
 // Reads and parses one generation slot. `inject` arms the ckpt_corrupt_prob
-// chaos roll (layer salt 3, keyed by file/slot offset) which flips the
-// payload *after* the read and *before* verification — the load-time
-// bit-rot the generation chain exists to survive. The probe path passes
-// false so sequence discovery neither injects nor double-counts.
+// chaos roll (CorruptLayer::checkpoint, keyed by file/slot offset) which
+// flips the payload *after* the read and *before* verification — the
+// load-time bit-rot the generation chain exists to survive. The probe path
+// passes false so sequence discovery neither injects nor double-counts.
 CkptSlot read_ckpt_slot(mpi::Comm& comm, pfs::FileId file, std::uint64_t off,
                         bool inject) {
   pfs::Pfs& fs = comm.runtime().fs();
@@ -81,7 +81,8 @@ CkptSlot read_ckpt_slot(mpi::Comm& comm, pfs::FileId file, std::uint64_t off,
   const std::uint64_t want = get_u64(trailer, pos);
   fault::Injector* fi = comm.runtime().chaos();
   if (inject && fi != nullptr &&
-      fi->schedule().corrupt_extent(3, static_cast<std::uint64_t>(file.index),
+      fi->schedule().corrupt_extent(fault::CorruptLayer::checkpoint,
+                                    static_cast<std::uint64_t>(file.index),
                                     off, 0)) {
     fault::chaos_flip(s.payload, fi->schedule().config().seed ^
                                      (static_cast<std::uint64_t>(file.index) *

@@ -39,15 +39,6 @@ struct ComputeModel {
   double ratio_of_io = 0;
 };
 
-/// End-to-end verification of aggregation chunks (fault-tolerance
-/// extension): each chunk read is checksummed against the store's pristine
-/// content; mismatches trigger a re-read, so silently corrupted transfers
-/// cannot poison the reduction.
-struct VerifyOptions {
-  bool verify_chunks = false;
-  int max_reread = 3;
-};
-
 /// The object I/O descriptor (paper Fig. 6: io.start/io.count/io.mode/
 /// io.block + the registered compute op).
 struct ObjectIO {
@@ -66,7 +57,6 @@ struct ObjectIO {
 
   romio::Hints hints;
   ComputeModel compute;
-  VerifyOptions verify;
 };
 
 /// Instrumentation returned by collective_compute / traditional_compute.
@@ -85,8 +75,6 @@ struct CcStats {
   std::uint64_t partial_count = 0;   ///< intermediate partial results
   std::uint64_t logical_runs = 0;    ///< coordinate runs reconstructed
   std::uint64_t elements = 0;        ///< elements this rank's subset holds
-  std::uint64_t chunks_verified = 0; ///< chunk checksums computed
-  std::uint64_t verify_rereads = 0;  ///< corrupted chunks repaired
 
   // Fault-recovery counters (non-zero only under an installed chaos
   // schedule; see docs/ROBUSTNESS.md).

@@ -12,7 +12,6 @@
 #include "check/check.hpp"
 #include "core/logical.hpp"
 #include "fault/chaos.hpp"
-#include "integrity/integrity.hpp"
 #include "mpi/ft.hpp"
 #include "mpi/runtime.hpp"
 #include "romio/collective.hpp"
@@ -1039,42 +1038,6 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         stats.io_s += comm.wtime() - wait0;  // stall only; overlap is free
         stats.bytes_read += sc.bytes_read;
         stats.io_fallbacks += sc.fallbacks;
-        if (obj.verify.verify_chunks && c.length > 0) {
-          // End-to-end verification: checksum every read extent against the
-          // pristine content; re-read (charged) until it matches, at most
-          // max_reread times, else fail with data_corrupt. Under staging the
-          // repaired bytes land in the cached entry, so a warm hit re-serves
-          // the verified copy.
-          const auto& truth = fs.store(ds.file()).pristine();
-          const double memcpy_bw = comm.runtime().config().memcpy_bw;
-          for (const auto& e : sc.extents) {
-            auto slice = sc.data.subspan(e.offset - c.offset, e.length);
-            const std::uint64_t want =
-                integrity::store_checksum(truth, e.offset, e.length);
-            comm.overhead(static_cast<double>(e.length) / memcpy_bw);
-            integrity::note_verified(integrity::Stage::pfs_read);
-            if (integrity::checksum(slice) != want) {
-              integrity::note_detected(integrity::Stage::pfs_read);
-              int tries = 0;
-              do {
-                if (++tries > obj.verify.max_reread) {
-                  throw integrity::make_corrupt_error(
-                      fault::Layer::core, integrity::Stage::pfs_read,
-                      "offset " + std::to_string(e.offset) +
-                          " still corrupt after " +
-                          std::to_string(obj.verify.max_reread) + " re-reads");
-                }
-                ++stats.verify_rereads;
-                fs.read(ds.file(), e.offset, slice);
-                comm.overhead(static_cast<double>(e.length) / memcpy_bw);
-              } while (integrity::checksum(slice) != want);
-              integrity::note_recovered(integrity::Stage::pfs_read,
-                                        static_cast<std::uint64_t>(tries) *
-                                            e.length);
-            }
-            ++stats.chunks_verified;
-          }
-        }
         // Mid-map process death: after the chunk read, before any of its
         // records ship — the canonical "late in the iteration" crash. Placed
         // before the k+1 prefetch so the dying fiber unwinds with no I/O in

@@ -147,26 +147,26 @@ bool ChaosSchedule::drop_transfer(int src_rank, int dst_rank,
   return roll < cfg_.msg_loss_prob;
 }
 
-bool ChaosSchedule::corrupt_extent(int layer_salt, std::uint64_t a,
+bool ChaosSchedule::corrupt_extent(CorruptLayer layer, std::uint64_t a,
                                    std::uint64_t b, int attempt) const {
   double prob = 0;
-  switch (layer_salt) {
-    case 0: prob = cfg_.cache_rot_prob; break;
-    case 1: prob = cfg_.wb_torn_prob; break;
-    case 2: prob = cfg_.stream_corrupt_prob; break;
-    case 3: prob = cfg_.ckpt_corrupt_prob; break;
-    default: prob = 0; break;
+  switch (layer) {
+    case CorruptLayer::cache: prob = cfg_.cache_rot_prob; break;
+    case CorruptLayer::write_behind: prob = cfg_.wb_torn_prob; break;
+    case CorruptLayer::stream: prob = cfg_.stream_corrupt_prob; break;
+    case CorruptLayer::checkpoint: prob = cfg_.ckpt_corrupt_prob; break;
+    case CorruptLayer::pfs_read: prob = cfg_.pfs_corrupt_prob; break;
   }
   if (prob <= 0) return false;
   // One roll decides the extent's fate; the attempt index only bounds how
-  // long the corruption persists (FaultyStore-style), so recovery either
-  // converges within `corrupt_attempts` or exhausts its budget — never
-  // flickers between independent rolls.
+  // long the corruption persists, so recovery either converges within
+  // `corrupt_attempts` or exhausts its budget — never flickers between
+  // independent rolls.
   if (attempt >= cfg_.corrupt_attempts) return false;
   SplitMix64 sm(cfg_.seed ^
                 (a * 0x9e3779b97f4a7c15ull +
                  b * 0xbf58476d1ce4e5b9ull +
-                 static_cast<std::uint64_t>(layer_salt) * 0x94d049bb133111ebull +
+                 static_cast<std::uint64_t>(layer) * 0x94d049bb133111ebull +
                  0x2545f4914f6cdd1dull));
   const double roll = static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
   return roll < prob;

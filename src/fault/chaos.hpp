@@ -70,19 +70,20 @@ struct ChaosConfig {
   /// Off forces the cold re-read path (the A/B for the recovery study).
   bool warm_partials = true;
 
-  /// Silent-data-corruption chaos (colcom::integrity): each staged cache
-  /// hit / write-behind flush / stream contribution serve independently
-  /// rolls against its probability; on a hit the resident bytes are flipped
-  /// *before* the integrity layer verifies them, so detection and bounded
-  /// recovery run under real corruption. `corrupt_attempts` bounds how many
-  /// consecutive recovery attempts per extent are re-corrupted before the
-  /// bytes come back clean (mirrors pfs::FaultyStore); an attempt budget the
+  /// Silent-data-corruption chaos (colcom::integrity): each PFS chunk read
+  /// / staged cache hit / write-behind flush / stream contribution serve /
+  /// checkpoint load independently rolls against its probability; on a hit
+  /// the bytes are flipped *before* the integrity layer verifies them, so
+  /// detection and bounded recovery run under real corruption.
+  /// `corrupt_attempts` bounds how many consecutive attempts per extent are
+  /// corrupted before the bytes come back clean; an attempt budget the
   /// recovery bound cannot beat surfaces as fault::Error{data_corrupt}.
+  double pfs_corrupt_prob = 0;     ///< chunk read corrupted in flight
   double cache_rot_prob = 0;       ///< bit-rot on a ChunkCache verify
   double wb_torn_prob = 0;         ///< torn write-behind extent at flush
   double stream_corrupt_prob = 0;  ///< corrupted stream payload at serve
   double ckpt_corrupt_prob = 0;    ///< corrupted checkpoint generation
-  int corrupt_attempts = 1;        ///< re-corruptions per extent before clean
+  int corrupt_attempts = 1;        ///< corrupted attempts per extent
 
   /// Multi-tenant service chaos (colcom::svc): abort the first job of
   /// tenant `svc_abort_tenant` that is about to run its
@@ -98,9 +99,20 @@ struct ChaosConfig {
   }
 
   bool any_corruption() const {
-    return cache_rot_prob > 0 || wb_torn_prob > 0 || stream_corrupt_prob > 0 ||
-           ckpt_corrupt_prob > 0;
+    return pfs_corrupt_prob > 0 || cache_rot_prob > 0 || wb_torn_prob > 0 ||
+           stream_corrupt_prob > 0 || ckpt_corrupt_prob > 0;
   }
+};
+
+/// The custody layers corruption chaos strikes, one ChaosConfig probability
+/// each. The values salt ChaosSchedule::corrupt_extent's roll, so they are
+/// fixed: renumbering one would move every roll of its layer.
+enum class CorruptLayer {
+  cache = 0,         ///< cache_rot_prob
+  write_behind = 1,  ///< wb_torn_prob
+  stream = 2,        ///< stream_corrupt_prob
+  checkpoint = 3,    ///< ckpt_corrupt_prob
+  pfs_read = 4,      ///< pfs_corrupt_prob
 };
 
 /// One scheduled fault: `kind` strikes `subject` (link id or rank) at `at`
@@ -131,9 +143,9 @@ enum class Phase {
 const char* to_string(Phase phase);
 
 /// The shared corruption pattern: XORs a seeded non-zero byte into every
-/// 257th position of `span` (mirrors pfs::FaultyStore, so planted damage
-/// looks the same at every custody layer). Involutory for a fixed seed —
-/// applying it twice restores the original bytes.
+/// 257th position of `span`, so planted damage looks the same at every
+/// custody layer. Involutory for a fixed seed — applying it twice restores
+/// the original bytes.
 void chaos_flip(std::span<std::byte> span, std::uint64_t seed);
 
 /// Kill `rank` the `hit`-th time (1-based) it enters `phase`.
@@ -196,17 +208,14 @@ class ChaosSchedule {
   }
 
   /// Deterministic corruption roll for one integrity verification, keyed by
-  /// the custody layer (a small salt: 0 cache, 1 write-behind, 2 stream,
-  /// 3 checkpoint), the extent identity (`a`, `b` — e.g. file-id/offset or
-  /// topic/step) and the attempt index. Pure data like drop_transfer: the
+  /// the custody layer, the extent identity (`a`, `b` — e.g. file-id/offset
+  /// or topic/step) and the attempt index. Pure data like drop_transfer: the
   /// first `corrupt_attempts` attempts that roll under the layer's
   /// probability corrupt; later attempts of the same extent come back clean
   /// so bounded recovery can converge (set corrupt_attempts past the
   /// recovery budget to exercise the data_corrupt failure path).
-  bool corrupt_extent(int layer_salt, std::uint64_t a, std::uint64_t b,
+  bool corrupt_extent(CorruptLayer layer, std::uint64_t a, std::uint64_t b,
                       int attempt) const;
-
-  bool has_corruption() const { return cfg_.any_corruption(); }
 
   /// True when `rank`'s `entry_no`-th entry (1-based) into `phase` matches
   /// a registered crash point.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <vector>
 
-#include "pfs/store.hpp"
 #include "trace/trace.hpp"
 #include "util/prng.hpp"
 
@@ -141,21 +139,6 @@ std::uint64_t Hasher::digest() const {
   h = (h ^ (h >> 33)) * kPrime2;
   h = (h ^ (h >> 29)) * kPrime3;
   return h ^ (h >> 32);
-}
-
-std::uint64_t store_checksum(const pfs::Store& store, std::uint64_t offset,
-                             std::uint64_t len) {
-  // Stream in bounded windows to stay memory-friendly for large ranges.
-  constexpr std::uint64_t kWindow = 1ull << 20;
-  std::vector<std::byte> buf(std::min(kWindow, len));
-  Hasher h;
-  for (std::uint64_t pos = 0; pos < len;) {
-    const auto window = std::span(buf).first(std::min(kWindow, len - pos));
-    store.read(offset + pos, window);
-    h.update(window);
-    pos += window.size();
-  }
-  return h.digest();
 }
 
 std::uint64_t combine(std::uint64_t acc, std::uint64_t part,

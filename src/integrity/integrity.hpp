@@ -5,17 +5,20 @@
 // streamed copies bypass filesystem checksums entirely. This module is the
 // one place checksums are computed, attached, and verified:
 //
-//   * `checksum()` / `Hasher` / `store_checksum()` / `combine()` — the
-//     checksum primitive (one-shot, incremental, store-streaming and
-//     extent-combinable variants). The checksum is the XXH64 construction
-//     with seed 0 over every byte, hashing ~8 GiB/s on one core of a Xeon
-//     VM (`BM_Checksum` in bench/micro_kernels). Any single-bit flip
-//     changes the digest: with certainty in inputs under 32 bytes and in
-//     the last (length mod 32) bytes, where every step from word to digest
-//     is a bijection, and elsewhere unless the final four-lane merge
-//     collides (~2^-64). Its round constants outside this module are a
-//     lint error (`scripts/lint.py` raw-checksum), so new custody transfers
-//     cannot silently bypass the layer with a private copy.
+//   * `checksum()` / `Hasher` / `combine()` — the checksum primitive
+//     (one-shot, incremental and extent-combinable variants). A PFS read's
+//     guard is the `checksum()` of each extent as the store served it,
+//     taken and verified by romio::ChunkReader; no verifier reads a
+//     trustworthy copy of the store (`scripts/lint.py` oracle-read). The
+//     checksum is the XXH64 construction with seed 0 over every byte,
+//     hashing ~8 GiB/s on one core of a Xeon VM (`BM_Checksum` in
+//     bench/micro_kernels). Any single-bit flip changes the digest: with
+//     certainty in inputs under 32 bytes and in the last (length mod 32)
+//     bytes, where every step from word to digest is a bijection, and
+//     elsewhere unless the final four-lane merge collides (~2^-64). Its
+//     round constants outside this module are a lint error
+//     (`scripts/lint.py` raw-checksum), so new custody transfers cannot
+//     silently bypass the layer with a private copy.
 //   * `Stage` — the named custody stages. A corruption that survives its
 //     recovery budget surfaces as `fault::Error{data_corrupt}` whose text
 //     names the stage ("stage.cache", "core.checkpoint", ...), never as a
@@ -38,10 +41,6 @@
 
 #include "fault/fault.hpp"
 
-namespace colcom::pfs {
-class Store;
-}  // namespace colcom::pfs
-
 namespace colcom::integrity {
 
 /// Per-layer verification policy.
@@ -55,7 +54,7 @@ const char* to_string(VerifyMode mode);
 
 /// Named custody stages — the vocabulary of detection and failure.
 enum class Stage {
-  pfs_read,        ///< bytes arriving from the (possibly faulty) store
+  pfs_read,        ///< chunk reads arriving from the PFS (ChunkReader)
   cache,           ///< resident stage::ChunkCache entries
   write_behind,    ///< dirty write-behind extents awaiting flush
   stream_payload,  ///< stream::Topic step-buffer contributions
@@ -87,12 +86,6 @@ class Hasher {
   std::array<std::byte, kStripe> stripe_{};  ///< partial stripe
   std::size_t pending_ = 0;                  ///< bytes held in stripe_
 };
-
-/// `checksum` of `store`'s bytes over [offset, offset+len), streamed
-/// through a `Hasher` in bounded windows. Pass `Store::pristine()` for the
-/// trustworthy digest a read is verified against.
-std::uint64_t store_checksum(const pfs::Store& store, std::uint64_t offset,
-                             std::uint64_t len);
 
 /// Folds one extent's digest (and length) into an accumulated chunk digest
 /// without touching the bytes again. Order-dependent by design — a chunk's

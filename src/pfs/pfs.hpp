@@ -72,8 +72,8 @@ class Pfs {
   Store& store(FileId id);
   const Store& store(FileId id) const;
 
-  /// Replaces a file's store with wrap(old_store) — used to layer fault
-  /// injection under an already-built dataset.
+  /// Replaces a file's store with wrap(old_store) — used to layer a
+  /// decorator (an I/O log, a timing probe) under an already-built dataset.
   void wrap_store(FileId id,
                   const std::function<std::unique_ptr<Store>(
                       std::unique_ptr<Store>)>& wrap);

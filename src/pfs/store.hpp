@@ -38,9 +38,12 @@ class Store {
   /// Logical size in bytes.
   virtual std::uint64_t size() const = 0;
 
-  /// The trustworthy view of this store's content, used for end-to-end
-  /// checksums. Fault-injecting wrappers return the wrapped store; honest
-  /// stores return themselves.
+  /// The store itself. Nothing under src/ calls this: a verifier must not
+  /// read a trustworthy copy no real system has (PFS reads are verified
+  /// against the guard romio::ChunkReader takes as the store serves them;
+  /// `scripts/lint.py` oracle-read). It stays declared only because
+  /// perfbench's TimedStore overrides it, and goes with the next change to
+  /// the benchmark.
   virtual const Store& pristine() const { return *this; }
 };
 

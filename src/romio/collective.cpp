@@ -8,6 +8,7 @@
 #include "check/check.hpp"
 #include "fault/chaos.hpp"
 #include "fault/fault.hpp"
+#include "integrity/integrity.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 
@@ -85,30 +86,62 @@ void ChunkReader::issue(pfs::Pfs& fs, pfs::FileId file,
                         pfs::ByteExtent chunk, std::vector<std::byte>& buf,
                         std::uint64_t sieve_gap, double now,
                         fault::Injector* chaos) {
+  fs_ = &fs;
+  file_ = file;
+  chaos_ = chaos;
   chunk_ = chunk;
   pending_.clear();
   extents_.clear();
+  guards_.clear();
   bytes_ = 0;
   issued_at_ = now;
   done_at_ = now;
   issued_ = true;
   buf.resize(chunk.length);
+  base_ = buf.data();
   if (chunk.length == 0) return;
   extents_ = chunk_read_extents(domain_requests, chunk, sieve_gap);
+  // With nothing armed the comparison could never fail, so the guards are
+  // only taken (and wait() only verifies) under PFS-read corruption chaos.
+  const bool guard =
+      chaos != nullptr && chaos->schedule().config().pfs_corrupt_prob > 0;
   for (const auto& e : extents_) {
-    const auto dst =
-        std::span<std::byte>(buf).subspan(e.offset - chunk.offset, e.length);
-    try {
-      pending_.push_back(fs.read_async(file, e.offset, dst));
-    } catch (const fault::Error&) {
-      // Degrade to independent I/O for this extent instead of aborting the
-      // whole collective read.
-      pending_.push_back(fallback_read(fs, file, e.offset, dst));
-      ++fallbacks_;
-      if (chaos != nullptr) chaos->note_io_fallback();
-    }
+    pending_.push_back(read_extent(e));
     bytes_ += e.length;
+    if (guard) {
+      guards_.push_back(integrity::checksum(window(e)));
+      corrupt_in_flight(e, 0);
+    }
   }
+}
+
+des::Completion ChunkReader::read_extent(const pfs::ByteExtent& e) {
+  try {
+    return fs_->read_async(file_, e.offset, window(e));
+  } catch (const fault::Error&) {
+    // Degrade to independent I/O for this extent instead of aborting the
+    // whole collective read.
+    des::Completion c = fallback_read(*fs_, file_, e.offset, window(e));
+    ++fallbacks_;
+    if (chaos_ != nullptr) chaos_->note_io_fallback();
+    return c;
+  }
+}
+
+std::span<std::byte> ChunkReader::window(const pfs::ByteExtent& e) const {
+  return {base_ + (e.offset - chunk_.offset), e.length};
+}
+
+void ChunkReader::corrupt_in_flight(const pfs::ByteExtent& e, int attempt) {
+  const fault::ChaosSchedule& s = chaos_->schedule();
+  const auto file = static_cast<std::uint64_t>(file_.index);
+  if (!s.corrupt_extent(fault::CorruptLayer::pfs_read, file, e.offset,
+                        attempt)) {
+    return;
+  }
+  fault::chaos_flip(window(e), s.config().seed ^
+                                   (file * 0x9e3779b97f4a7c15ull + e.offset));
+  chaos_->note_corruption_injected("pfs_read");
 }
 
 void ChunkReader::wait() {
@@ -116,6 +149,33 @@ void ChunkReader::wait() {
   for (const auto& c : pending_) {
     c.wait();
     done_at_ = std::max(done_at_, c.ready_at());
+  }
+  // Verification is free in virtual time (cf. stage::StageConfig::
+  // checksum_bw's default); a re-read is charged by the PFS like any read.
+  for (std::size_t i = 0; i < guards_.size(); ++i) {
+    const pfs::ByteExtent& e = extents_[i];
+    integrity::note_verified(integrity::Stage::pfs_read);
+    if (integrity::checksum(window(e)) == guards_[i]) continue;
+    integrity::note_detected(integrity::Stage::pfs_read);
+    for (int r = 1;; ++r) {
+      if (r > kMaxRereads) {
+        throw integrity::make_corrupt_error(
+            fault::Layer::romio, integrity::Stage::pfs_read,
+            "file " + std::to_string(file_.index) + " offset " +
+                std::to_string(e.offset) + " still corrupt after " +
+                std::to_string(kMaxRereads) + " re-reads");
+      }
+      const des::Completion c = read_extent(e);
+      c.wait();
+      done_at_ = std::max(done_at_, c.ready_at());
+      bytes_ += e.length;
+      corrupt_in_flight(e, r);
+      if (integrity::checksum(window(e)) == guards_[i]) {
+        integrity::note_recovered(integrity::Stage::pfs_read,
+                                  static_cast<std::uint64_t>(r) * e.length);
+        break;
+      }
+    }
   }
 }
 

@@ -47,7 +47,7 @@ std::uint64_t extent_key(int file, std::uint64_t offset) {
 }
 
 // Deterministic corruption pattern shared by every stage-layer injection
-// (mirrors pfs::FaultyStore): flip every 257th byte of `span`.
+// (fault::chaos_flip): flip every 257th byte of `span`.
 void flip_bytes(std::span<std::byte> span, std::uint64_t seed) {
   fault::chaos_flip(span, seed);
 }
@@ -392,7 +392,8 @@ void StagingArea::wb_verify(WbDirty& d) {
       comm_->overhead(static_cast<double>(d.pristine.size()) / cfg_.bb_bw);
       d.bytes.assign(d.pristine.begin(), d.pristine.end());
       if (fi != nullptr && fi->schedule().corrupt_extent(
-                               1, static_cast<std::uint64_t>(d.file.index),
+                               fault::CorruptLayer::write_behind,
+                               static_cast<std::uint64_t>(d.file.index),
                                d.ext.offset, d.torn_attempts)) {
         ++d.torn_attempts;
         flip_bytes(d.bytes, fseed);
@@ -441,8 +442,9 @@ void StagingArea::wb_write(pfs::FileId file, std::uint64_t offset,
   fault::Injector* fi = injector();
   const bool torn =
       fi != nullptr &&
-      fi->schedule().corrupt_extent(
-          1, static_cast<std::uint64_t>(file.index), offset, 0);
+      fi->schedule().corrupt_extent(fault::CorruptLayer::write_behind,
+                                    static_cast<std::uint64_t>(file.index),
+                                    offset, 0);
   if (cfg_.wb_collective_flush) {
     WbDirty d;
     d.file = file;
@@ -687,7 +689,7 @@ SourceChunk PfsReader::take() {
   holding_ = true;
   s.reader.wait();
   SourceChunk out;
-  out.data = std::span<std::byte>(s.buf);
+  out.data = std::span<const std::byte>(s.buf);
   out.extents = std::span<const pfs::ByteExtent>(s.reader.extents());
   out.service_s = s.reader.service_time();
   out.bytes_read = s.reader.bytes_read();
@@ -838,7 +840,7 @@ StagedReader::Chunk StagedReader::take() {
     // recovery-budget exhaustion — after unpinning and dooming the entry).
     verify_hit(*f.entry, out);
     held_entry_ = f.entry;
-    out.data = std::span<std::byte>(f.entry->bytes);
+    out.data = std::span<const std::byte>(f.entry->bytes);
     out.extents = std::span<const pfs::ByteExtent>(f.entry->extents);
     out.hit = true;
     return out;
@@ -873,7 +875,7 @@ StagedReader::Chunk StagedReader::take() {
   if (e != nullptr) {
     area_->cache_.pin(*e);
     held_entry_ = e;
-    out.data = std::span<std::byte>(e->bytes);
+    out.data = std::span<const std::byte>(e->bytes);
     out.extents = std::span<const pfs::ByteExtent>(e->extents);
   } else {
     // Stale, or the key is held by a doomed in-flight entry; serve this
@@ -885,7 +887,7 @@ StagedReader::Chunk StagedReader::take() {
     }
     held_buf_ = std::move(f.buf);
     held_extents_ = std::move(f.extents);
-    out.data = std::span<std::byte>(held_buf_);
+    out.data = std::span<const std::byte>(held_buf_);
     out.extents = std::span<const pfs::ByteExtent>(held_extents_);
   }
   area_->sample_occupancy();
@@ -903,7 +905,7 @@ void StagedReader::verify_hit(ChunkCache::Entry& e, SourceChunk& out) {
   const std::uint64_t fseed =
       (fi != nullptr ? fi->schedule().config().seed : 0) ^ key;
   if (fi != nullptr &&
-      fi->schedule().corrupt_extent(0,
+      fi->schedule().corrupt_extent(fault::CorruptLayer::cache,
                                     static_cast<std::uint64_t>(e.key.file),
                                     e.key.offset, e.rot_attempts)) {
     ++e.rot_attempts;
@@ -930,7 +932,7 @@ void StagedReader::verify_hit(ChunkCache::Entry& e, SourceChunk& out) {
     out.bytes_read += n;
     st.read_bytes += n;
     if (fi != nullptr &&
-        fi->schedule().corrupt_extent(0,
+        fi->schedule().corrupt_extent(fault::CorruptLayer::cache,
                                       static_cast<std::uint64_t>(e.key.file),
                                       e.key.offset, e.rot_attempts)) {
       ++e.rot_attempts;
@@ -958,10 +960,6 @@ void StagedReader::release() {
   COLCOM_EXPECT_MSG(holding_, "release() without take()");
   holding_ = false;
   if (held_entry_ != nullptr) {
-    // The consumer may have repaired extents in place (core chunk
-    // verification against the pristine store); hand-back is a custody
-    // transfer, so re-bless the checksum over what is actually resident.
-    held_entry_->sum = integrity::checksum(held_entry_->bytes);
     area_->cache_.unpin(*held_entry_, area_->stats_);
     held_entry_ = nullptr;
     area_->sample_occupancy();

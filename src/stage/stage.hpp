@@ -410,10 +410,12 @@ class StagingArea {
 
 /// One acquired chunk, however it was sourced (cache, PFS, or stream).
 struct SourceChunk {
-  /// Window-addressed chunk bytes; mutable so chunk verification can
-  /// repair corrupted extents in place (the repaired copy stays cached).
-  /// Valid until release().
-  std::span<std::byte> data;
+  /// Window-addressed chunk bytes, already verified by the source (PFS
+  /// reads in romio::ChunkReader, cache hits against their custody
+  /// checksum, stream payloads at the consumer copy). Read-only: a consumer
+  /// never writes into a taken chunk, so a cached entry's custody checksum
+  /// stays valid without re-hashing at release(). Valid until release().
+  std::span<const std::byte> data;
   std::span<const pfs::ByteExtent> extents;  ///< ranges actually read
   double service_s = 0;          ///< PFS service time (0 on a hit)
   std::uint64_t bytes_read = 0;  ///< bytes pulled from the PFS

@@ -157,8 +157,8 @@ void Topic::publish(mpi::Comm& comm, std::uint64_t step,
       layout_.base + step * layout_.step_bytes + step_offset;
   // Custody transfer: the payload's checksum rides with the contribution
   // and is verified at the first consumer copy (colcom::integrity). While
-  // corruption chaos is armed the producer keeps a pristine shadow — the
-  // re-request source — and the step-buffer copy may be flipped right
+  // stream corruption chaos is armed the producer keeps a pristine shadow —
+  // the re-request source — and the step-buffer copy may be flipped right
   // here, before any verification, so detection runs under real damage.
   Contribution ctb;
   ctb.rank = comm.rank();
@@ -167,10 +167,11 @@ void Topic::publish(mpi::Comm& comm, std::uint64_t step,
   ctb.area = area;
   ctb.sum = integrity::checksum(bytes);
   fault::Injector* fi = comm.runtime().chaos();
-  if (fi != nullptr && fi->schedule().has_corruption()) {
+  if (fi != nullptr && fi->schedule().config().stream_corrupt_prob > 0) {
     ctb.pristine.assign(bytes.begin(), bytes.end());
     if (fi->schedule().corrupt_extent(
-            2, static_cast<std::uint64_t>(layout_.file.index), file_off, 0)) {
+            fault::CorruptLayer::stream,
+            static_cast<std::uint64_t>(layout_.file.index), file_off, 0)) {
       fault::chaos_flip(
           std::span<std::byte>(s.buf.data() + step_offset, bytes.size()),
           fi->schedule().config().seed ^
@@ -328,7 +329,8 @@ void Topic::verify_contribs(mpi::Comm& comm, std::uint64_t step, Step& s) {
         c.pristine.empty() ||
         (fi != nullptr &&
          fi->schedule().corrupt_extent(
-             2, static_cast<std::uint64_t>(layout_.file.index), file_off, 1));
+             fault::CorruptLayer::stream,
+             static_cast<std::uint64_t>(layout_.file.index), file_off, 1));
     if (!producer_bad && integrity::checksum(c.pristine) == c.sum) {
       // Re-request: copy the producer's shadow back over the step buffer
       // at handoff bandwidth — bounded, bit-identical recovery.
@@ -559,7 +561,7 @@ stage::SourceChunk Reader::take() {
   }
   // Reading the published slab is a burst-buffer copy, like a cache hit.
   comm_->overhead(static_cast<double>(total) / topic_->cfg_->bb_bw);
-  out.data = std::span<std::byte>(held_buf_);
+  out.data = std::span<const std::byte>(held_buf_);
   out.extents = std::span<const pfs::ByteExtent>(held_extents_);
   out.hit = true;
   return out;

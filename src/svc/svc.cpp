@@ -91,8 +91,6 @@ void accumulate(core::CcStats& into, const core::CcStats& s) {
   // `elements` describes the rank's subset, not work done — identical every
   // slice, so keep the last value instead of summing.
   into.elements = s.elements;
-  into.chunks_verified += s.chunks_verified;
-  into.verify_rereads += s.verify_rereads;
   into.replans += s.replans;
   into.absorbed_chunks += s.absorbed_chunks;
   into.io_fallbacks += s.io_fallbacks;

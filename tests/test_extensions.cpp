@@ -1,7 +1,7 @@
 // Tests for the future-work extensions: iterative collective computing
-// (plan reuse), nonblocking collective I/O, and chunk verification under
-// injected corruption (healed by re-reads, or a structured data_corrupt
-// once they run out).
+// (plan reuse), nonblocking collective I/O, and chunk-read verification
+// under PFS-read corruption chaos (healed by re-reads, or a structured
+// data_corrupt once they run out).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "integrity/integrity.hpp"
 #include "mpi/runtime.hpp"
 #include "ncio/dataset.hpp"
-#include "pfs/fault.hpp"
 #include "romio/nonblocking.hpp"
 
 namespace colcom::core {
@@ -168,11 +167,19 @@ TEST(NbCio, RequiresNonZeroContext) {
   EXPECT_TRUE(threw);
 }
 
+/// A machine whose chunk reads come back corrupt with probability `prob`
+/// for their first `attempts` tries (fault::ChaosConfig::pfs_corrupt_prob).
+mpi::MachineConfig corrupting_machine(double prob, int attempts) {
+  mpi::MachineConfig cfg = small_machine();
+  cfg.chaos.pfs_corrupt_prob = prob;
+  cfg.chaos.corrupt_attempts = attempts;
+  return cfg;
+}
+
 TEST(Verify, DetectsAndRepairsCorruption) {
   const int nprocs = 4;
-  mpi::Runtime rt(small_machine(), nprocs);
+  mpi::Runtime rt(corrupting_machine(0.5, 1), nprocs);
   auto ds = make_ds(rt.fs(), {16, 8, 16});
-  // Serial truth BEFORE wrapping (pristine content).
   double truth = 0;
   {
     ObjectIO all;
@@ -182,11 +189,7 @@ TEST(Verify, DetectsAndRepairsCorruption) {
     all.op = mpi::Op::sum();
     truth = serial_reduce(ds, all).as<double>();
   }
-  rt.fs().wrap_store(ds.file(), [](std::unique_ptr<pfs::Store> base) {
-    return std::make_unique<pfs::FaultyStore>(std::move(base), 0.5, 99);
-  });
   std::vector<double> got(static_cast<std::size_t>(nprocs), -1);
-  std::uint64_t rereads = 0;
   integrity::reset_stats();
   rt.run([&](mpi::Comm& c) {
     ObjectIO io;
@@ -195,49 +198,45 @@ TEST(Verify, DetectsAndRepairsCorruption) {
     io.count = {16, 2, 16};
     io.op = mpi::Op::sum();
     io.hints.cb_buffer_size = 2048;
-    io.verify.verify_chunks = true;
     CcOutput out;
-    const auto st = collective_compute(c, ds, io, out);
+    collective_compute(c, ds, io, out);
     got[static_cast<std::size_t>(c.rank())] = out.global_as<double>();
-    rereads += st.verify_rereads;
   });
   for (double g : got) EXPECT_NEAR(g, truth, std::abs(truth) * 1e-12 + 1e-9);
-  EXPECT_GT(rereads, 0u);  // faults actually happened and were repaired
-  // Every corrupt extent is one pfs.read episode, and every one healed.
+  // Faults actually happened, and every corrupt extent is one pfs.read
+  // episode that healed.
+  EXPECT_GT(rt.chaos()->stats().corruptions_injected, 0u);
   const integrity::Stats& is = integrity::stats();
-  EXPECT_GT(is.detected, 0u);
+  EXPECT_GT(is.recovered, 0u);
   EXPECT_EQ(is.detected, is.recovered);
   EXPECT_EQ(is.failed, 0u);
 }
 
 TEST(Verify, ExhaustedRereadsFailWithDataCorrupt) {
-  const int nprocs = 4;
-  mpi::Runtime rt(small_machine(), nprocs);
-  auto ds = make_ds(rt.fs(), {16, 8, 16});
   // Every read of an extent comes back corrupt for its first 10 attempts,
-  // more than the default max_reread of 3 re-reads can outlast.
-  rt.fs().wrap_store(ds.file(), [](std::unique_ptr<pfs::Store> base) {
-    return std::make_unique<pfs::FaultyStore>(std::move(base), 1.0, 99, 10);
-  });
+  // more than ChunkReader's 3 re-reads can outlast. A single-rank world
+  // keeps the failure local: the rank catches it, so no peer is left
+  // waiting on its shuffle and every fiber ends.
+  mpi::Runtime rt(corrupting_machine(1.0, 10), 1);
+  auto ds = make_ds(rt.fs(), {16, 8, 16});
   integrity::reset_stats();
   bool data_corrupt = false;
   std::string what;
-  try {
-    rt.run([&](mpi::Comm& c) {
-      ObjectIO io;
-      io.var = ds.var("v");
-      io.start = {0, static_cast<std::uint64_t>(2 * c.rank()), 0};
-      io.count = {16, 2, 16};
-      io.op = mpi::Op::sum();
-      io.hints.cb_buffer_size = 2048;
-      io.verify.verify_chunks = true;
-      CcOutput out;
+  rt.run([&](mpi::Comm& c) {
+    ObjectIO io;
+    io.var = ds.var("v");
+    io.start = {0, 0, 0};
+    io.count = {16, 2, 16};
+    io.op = mpi::Op::sum();
+    io.hints.cb_buffer_size = 2048;
+    CcOutput out;
+    try {
       collective_compute(c, ds, io, out);
-    });
-  } catch (const fault::Error& e) {
-    data_corrupt = e.kind() == fault::Kind::data_corrupt;
-    what = e.what();
-  }
+    } catch (const fault::Error& e) {
+      data_corrupt = e.kind() == fault::Kind::data_corrupt;
+      what = e.what();
+    }
+  });
   EXPECT_TRUE(data_corrupt);
   EXPECT_NE(what.find("pfs.read"), std::string::npos) << what;
   const integrity::Stats& is = integrity::stats();
@@ -246,20 +245,23 @@ TEST(Verify, ExhaustedRereadsFailWithDataCorrupt) {
 }
 
 TEST(Verify, NoOverheadCounterWhenClean) {
+  // With no corruption chaos armed a PFS read is never hashed: the path
+  // every benchmark run without chaos takes.
   mpi::Runtime rt(small_machine(), 2);
   auto ds = make_ds(rt.fs(), {8, 4, 8});
-  std::uint64_t rereads = 0;
+  integrity::reset_stats();
   rt.run([&](mpi::Comm& c) {
     ObjectIO io;
     io.var = ds.var("v");
     io.start = {0, static_cast<std::uint64_t>(2 * c.rank()), 0};
     io.count = {8, 2, 8};
     io.op = mpi::Op::sum();
-    io.verify.verify_chunks = true;
     CcOutput out;
-    rereads += collective_compute(c, ds, io, out).verify_rereads;
+    collective_compute(c, ds, io, out);
   });
-  EXPECT_EQ(rereads, 0u);
+  EXPECT_EQ(rt.chaos(), nullptr);
+  EXPECT_EQ(integrity::stats().verified, 0u);
+  EXPECT_EQ(integrity::stats().detected, 0u);
 }
 
 }  // namespace

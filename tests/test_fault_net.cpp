@@ -96,6 +96,36 @@ TEST(ChaosSchedule, DropRollIsDeterministicAndSalted) {
   EXPECT_TRUE(attempt_differs);
 }
 
+TEST(ChaosSchedule, CorruptRollIsDeterministicLayerSaltedAndBounded) {
+  using fault::CorruptLayer;
+  fault::ChaosConfig cfg;
+  cfg.seed = chaos_seed();
+  cfg.pfs_corrupt_prob = 0.5;
+  cfg.cache_rot_prob = 0.5;
+  cfg.corrupt_attempts = 2;
+  const fault::ChaosSchedule s(cfg, 2, 2, 2);
+  const fault::ChaosSchedule same(cfg, 2, 2, 2);
+  int hits = 0;
+  bool layer_differs = false;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    const std::uint64_t off = i * 4096;
+    const bool c = s.corrupt_extent(CorruptLayer::pfs_read, 3, off, 0);
+    EXPECT_EQ(c, same.corrupt_extent(CorruptLayer::pfs_read, 3, off, 0));
+    // One roll decides the extent: every attempt inside corrupt_attempts
+    // agrees, and past it the bytes come back clean.
+    EXPECT_EQ(c, s.corrupt_extent(CorruptLayer::pfs_read, 3, off, 1));
+    EXPECT_FALSE(s.corrupt_extent(CorruptLayer::pfs_read, 3, off, 2));
+    // A layer left at probability 0 never corrupts.
+    EXPECT_FALSE(s.corrupt_extent(CorruptLayer::stream, 3, off, 0));
+    layer_differs |= c != s.corrupt_extent(CorruptLayer::cache, 3, off, 0);
+    hits += c ? 1 : 0;
+  }
+  // Roughly half corrupt at p=0.5, and the layer salt decorrelates layers.
+  EXPECT_GT(hits, 512 / 4);
+  EXPECT_LT(hits, 512 * 3 / 4);
+  EXPECT_TRUE(layer_differs);
+}
+
 // ---------------- MPI retransmit protocol ----------------
 
 struct LossRun {

@@ -1,6 +1,7 @@
 // colcom::integrity tests — end-to-end data integrity across every custody
 // stage. The contract under test: a planted corruption (chaos-injected or
-// hand-planted) is either healed bit-identically — cache bit-rot re-fetched
+// hand-planted) is either healed bit-identically — a corrupted PFS chunk
+// read re-read by romio::ChunkReader, cache bit-rot re-fetched
 // from the PFS, torn write-behind extents re-staged from the pristine
 // shadow, corrupted stream payloads re-requested from the producer's
 // unretired buffer, a corrupt checkpoint generation falling back to the
@@ -34,6 +35,7 @@
 #include "pfs/store.hpp"
 #include "stage/stage.hpp"
 #include "stream/stream.hpp"
+#include "trace/trace.hpp"
 #include "wrf/hurricane.hpp"
 #include "wrf/writer.hpp"
 
@@ -243,14 +245,17 @@ struct StagedRun {
 
 /// Two identical steps over a (64, 16, 16) f32 variable with 4 KB chunks;
 /// step 2 is the warm iteration whose cache hits the rot chaos targets.
+/// `tracer`, when set, records the run.
 StagedRun run_two_steps(int nprocs, const fault::ChaosConfig* cc,
-                        const stage::StageConfig& scfg = {}) {
+                        const stage::StageConfig& scfg = {},
+                        trace::Tracer* tracer = nullptr) {
   integrity::reset_stats();
   mpi::Runtime rt(small_machine(), nprocs);
   if (cc != nullptr) {
     rt.install_chaos(fault::ChaosSchedule(*cc, rt.n_nodes(), nprocs, 8));
   }
   auto ds = make_ds(rt.fs(), {64, 16, 16});
+  if (tracer != nullptr) tracer->attach(rt.engine());
   StagedRun res;
   rt.run([&](mpi::Comm& c) {
     core::ObjectIO io;
@@ -277,6 +282,7 @@ StagedRun run_two_steps(int nprocs, const fault::ChaosConfig* cc,
     }
     if (c.rank() == 0) res.stats = sa.stats();
   });
+  if (tracer != nullptr) tracer->detach();
   res.integ = integrity::stats();
   if (rt.chaos() != nullptr) res.faults = rt.chaos()->stats();
   return res;
@@ -334,6 +340,138 @@ TEST(CacheIntegrity, VerifyOffIsSilentlyWrongUnderRot) {
   EXPECT_EQ(r.integ.detected, 0u) << "off-mode must not verify";
   EXPECT_NE(0, std::memcmp(&r.value[1], &clean.value[1], sizeof(float)))
       << "without verification the rot flows straight into the answer";
+  expect_accounted(r.integ);
+}
+
+// ---------------- PFS chunk reads (pfs.read) ----------------
+
+/// PFS-read corruption chaos: the first `attempts` tries of every chunk
+/// read come back corrupt with probability `prob`.
+fault::ChaosConfig pfs_corruption(double prob, int attempts) {
+  fault::ChaosConfig cc;
+  cc.seed = chaos_seed();
+  cc.pfs_corrupt_prob = prob;
+  cc.corrupt_attempts = attempts;
+  return cc;
+}
+
+struct PfsRun {
+  float value = 0;  ///< rank 0's global result
+  integrity::Stats integ;
+  fault::FaultStats faults;
+  int makeups = 0;  ///< cold make-up chunks served ("makeup" spans)
+};
+
+/// kProcs ranks on 2 nodes (aggregators: ranks 0 and 4) sum a (64, 16, 16)
+/// f32 variable in 8 KB chunks, through collective computing or, with
+/// `blocking`, the traditional read-then-compute path, under `chaos` plus
+/// the explicit `events`.
+PfsRun run_pfs(const fault::ChaosConfig& chaos, bool blocking = false,
+               const std::vector<fault::ChaosEvent>& events = {}) {
+  integrity::reset_stats();
+  mpi::Runtime rt(small_machine(), kProcs);
+  if (chaos.any() || !events.empty()) {
+    fault::ChaosSchedule sched(chaos, rt.n_nodes(), kProcs, 8);
+    for (const auto& ev : events) sched.add(ev);
+    rt.install_chaos(std::move(sched));
+  }
+  auto ds = make_ds(rt.fs(), {64, 16, 16});
+  trace::Tracer tr;
+  tr.attach(rt.engine());
+  PfsRun res;
+  rt.run([&](mpi::Comm& c) {
+    core::ObjectIO io;
+    io.var = ds.var("v");
+    io.start = {0, 2 * static_cast<std::uint64_t>(c.rank()), 0};
+    io.count = {64, 2, 16};
+    io.op = mpi::Op::sum();
+    io.hints.cb_buffer_size = 8192;
+    io.blocking = blocking;
+    core::CcOutput out;
+    core::collective_compute(c, ds, io, out);
+    if (c.rank() == 0) res.value = out.global_as<float>();
+  });
+  tr.detach();
+  res.integ = integrity::stats();
+  if (rt.chaos() != nullptr) res.faults = rt.chaos()->stats();
+  for (const trace::TraceEvent& e : tr.events()) {
+    if (e.ph == trace::TraceEvent::Ph::complete && e.name == "makeup") {
+      ++res.makeups;
+    }
+  }
+  return res;
+}
+
+/// Every chunk read of `r` was corrupted once and healed by one re-read.
+void expect_every_read_healed(const PfsRun& r) {
+  EXPECT_GT(r.faults.corruptions_injected, 0u);
+  EXPECT_GT(r.integ.verified, 0u);
+  EXPECT_EQ(r.integ.detected, r.integ.verified);
+  EXPECT_EQ(r.integ.recovered, r.integ.detected);
+  EXPECT_EQ(r.integ.failed, 0u);
+  expect_accounted(r.integ);
+}
+
+TEST(PfsReadIntegrity, AbsorbedChunksHealUnderRoleCrash) {
+  const PfsRun clean = run_pfs(fault::ChaosConfig{});
+  // Rank 4 (the second aggregator) loses its role before its first read:
+  // rank 0 absorbs its whole file domain, and every absorbed read comes
+  // back corrupt once.
+  fault::ChaosEvent crash;
+  crash.kind = fault::Kind::aggregator_crash;
+  crash.subject = 4;
+  crash.at = 1e-6;
+  const PfsRun r = run_pfs(pfs_corruption(1.0, 1), false, {crash});
+  EXPECT_EQ(0, std::memcmp(&r.value, &clean.value, sizeof(float)));
+  EXPECT_GT(r.faults.absorbed_chunks, 0u);
+  expect_every_read_healed(r);
+}
+
+TEST(PfsReadIntegrity, ColdMakeUpsHealUnderRoleCrash) {
+  const PfsRun clean = run_pfs(fault::ChaosConfig{});
+  // Rank 4's role dies mid-iteration and warm partials are off: the
+  // survivor re-reads the missed slot from the PFS (the cold make-up).
+  fault::ChaosConfig cc = pfs_corruption(1.0, 1);
+  cc.warm_partials = false;
+  fault::ChaosEvent crash;
+  crash.kind = fault::Kind::aggregator_crash;
+  crash.subject = 4;
+  crash.at = 2e-3;
+  const PfsRun r = run_pfs(cc, false, {crash});
+  EXPECT_EQ(0, std::memcmp(&r.value, &clean.value, sizeof(float)));
+  ASSERT_GT(r.makeups, 0) << "crash time missed the mid-iteration window";
+  expect_every_read_healed(r);
+}
+
+TEST(PfsReadIntegrity, BaselineCollectiveReadHeals) {
+  // traditional_compute reads through CollectiveIo::read_all, whose
+  // aggregators read every chunk through the same ChunkReader.
+  const PfsRun clean = run_pfs(fault::ChaosConfig{}, /*blocking=*/true);
+  const PfsRun r = run_pfs(pfs_corruption(1.0, 1), /*blocking=*/true);
+  EXPECT_EQ(0, std::memcmp(&r.value, &clean.value, sizeof(float)));
+  expect_every_read_healed(r);
+}
+
+TEST(PfsReadIntegrity, StagedMissesHealBeforeCachingSoWarmPassHitsClean) {
+  const StagedRun clean = run_two_steps(kProcs, nullptr);
+  ASSERT_EQ(clean.err_kind, -1);
+  const fault::ChaosConfig cc = pfs_corruption(1.0, 1);
+  trace::Tracer tr;
+  const StagedRun r = run_two_steps(kProcs, &cc, {}, &tr);
+  ASSERT_EQ(r.err_kind, -1) << r.err_what;
+  EXPECT_EQ(0, std::memcmp(&r.value[0], &clean.value[0], sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(&r.value[1], &clean.value[1], sizeof(float)));
+  // The cold pass misses every chunk; the warm pass hits every one of them.
+  EXPECT_GT(r.stats.misses, 0u);
+  EXPECT_EQ(r.stats.hits, r.stats.misses);
+  // Corrupt bytes never entered the cache: every detection was a PFS read,
+  // healed before the insert, and no warm hit found anything to repair.
+  const auto& counters = tr.metrics().counters();
+  ASSERT_TRUE(counters.contains("integrity.detected.pfs.read"));
+  EXPECT_GT(counters.at("integrity.detected.pfs.read").value(), 0u);
+  EXPECT_FALSE(counters.contains("integrity.detected.stage.cache"));
+  EXPECT_GT(counters.at("integrity.verified.stage.cache").value(), 0u);
+  EXPECT_EQ(r.integ.failed, 0u);
   expect_accounted(r.integ);
 }
 

@@ -18,7 +18,6 @@
 #include "fault/chaos.hpp"
 #include "mpi/runtime.hpp"
 #include "ncio/dataset.hpp"
-#include "pfs/fault.hpp"
 #include "pfs/store.hpp"
 #include "stage/stage.hpp"
 #include "svc/svc.hpp"
@@ -100,16 +99,12 @@ struct JobDef {
   int tenant = 0;
   int priority = 0;
   int weight = 1;
-  bool verify = false;  ///< check every chunk against the pristine store
 };
 
 /// Faults beneath the service: PFS requests that fail transiently (past
-/// every retry at 1.0), and reads that come back corrupt for their first
-/// `corrupt_attempts` tries.
+/// every retry at 1.0).
 struct Storage {
   double fail_prob = 0;
-  double corrupt_prob = 0;
-  int corrupt_attempts = 1;
 };
 
 struct SvcRun {
@@ -140,13 +135,6 @@ SvcRun run_service(const svc::ServiceConfig& cfg,
     rt.install_chaos(std::move(sched));
   }
   auto ds = make_ds(rt.fs());
-  if (storage.corrupt_prob > 0) {
-    rt.fs().wrap_store(ds.file(), [&](std::unique_ptr<pfs::Store> base) {
-      return std::make_unique<pfs::FaultyStore>(std::move(base),
-                                                storage.corrupt_prob, 99,
-                                                storage.corrupt_attempts);
-    });
-  }
   const auto n = jobs.size();
   SvcRun res;
   res.st.resize(n);
@@ -167,7 +155,6 @@ SvcRun run_service(const svc::ServiceConfig& cfg,
       s.io = make_io(ds, jd.slab, c.rank());
       s.priority = jd.priority;
       s.weight = jd.weight;
-      s.io.verify.verify_chunks = jd.verify;
       ids.push_back(sc.submit(std::move(s)));
     }
     sc.run_all();
@@ -556,16 +543,15 @@ TEST(Svc, ExhaustedChunkVerifyUnderRoleCrashesFailsDataCorrupt) {
   cfg.policy = svc::Policy::fifo;
   cfg.max_concurrent = 2;
   cfg.slice_iters = 2;
-  std::vector<JobDef> jobs = {{Slab{"v", 0, 32}, 0}, {Slab{"u", 0, 32}, 1}};
-  for (JobDef& jd : jobs) jd.verify = true;
+  const std::vector<JobDef> jobs = {{Slab{"v", 0, 32}, 0},
+                                    {Slab{"u", 0, 32}, 1}};
   fault::ChaosConfig cc;
   cc.seed = chaos_seed();
-  Storage storage;
-  storage.corrupt_prob = 1.0;
-  storage.corrupt_attempts = 10;  // more than max_reread (3) can outlast
+  cc.pfs_corrupt_prob = 1.0;
+  cc.corrupt_attempts = 10;  // more than ChunkReader's 3 re-reads outlast
   // The bytes are gone at every re-read: the aggregator's data_corrupt is
   // the attempt's agreed verdict, so no job is ever resubmitted.
-  const SvcRun r = run_service(cfg, jobs, &cc, parked_role_crash(), storage);
+  const SvcRun r = run_service(cfg, jobs, &cc, parked_role_crash());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(r.st[i], svc::JobState::failed) << "job " << i;
     EXPECT_EQ(r.reason[i], svc::FailReason::data_corrupt) << "job " << i;
