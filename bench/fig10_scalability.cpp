@@ -6,6 +6,11 @@
 // the CC speedup *widens* with scale — 1.42x at 120 procs to 1.7x at 1024 —
 // because the shuffle share of two-phase I/O grows with aggregator count
 // and network contention.
+//
+// One machine-readable "RESULT {json}" line per scale follows the table
+// (procs, aggregators, both times, the speedup and the paper's speedup where
+// Fig. 10 gives one, else null); BENCH_fig10.json is their checked-in
+// trajectory, compared by scripts/bench_diff.py.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -52,6 +57,7 @@ int main(int argc, char** argv) {
   TablePrinter t;
   t.set_header({"procs", "nodes/aggs", "MPI (s)", "CC (s)", "speedup"});
   std::vector<std::string> labels;
+  std::vector<int> aggregators;
   std::vector<double> mpi_times, cc_times, speedups;
   for (int n : scales) {
     const double t_mpi = run_once(n, false);
@@ -61,6 +67,7 @@ int main(int argc, char** argv) {
                format_fixed(t_mpi, 3), format_fixed(t_cc, 3),
                format_fixed(t_mpi / t_cc, 2) + "x"});
     labels.push_back(std::to_string(n));
+    aggregators.push_back(nodes);
     mpi_times.push_back(t_mpi);
     cc_times.push_back(t_cc);
     speedups.push_back(t_mpi / t_cc);
@@ -73,6 +80,16 @@ int main(int argc, char** argv) {
   std::printf("\nspeedup at 120 procs : %.2fx (paper: 1.42x)\n", speedups[2]);
   std::printf("speedup at 1024 procs: %.2fx (paper: 1.70x)\n\n",
               speedups.back());
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    const int n = scales[i];
+    const char* paper = n == 120 ? "1.42" : n == 1024 ? "1.70" : "null";
+    std::printf(
+        "RESULT {\"bench\":\"fig10_scalability\",\"procs\":%d,"
+        "\"aggregators\":%d,\"mpi_s\":%.9f,\"cc_s\":%.9f,\"speedup\":%.4f,"
+        "\"paper_speedup\":%s}\n",
+        n, aggregators[i], mpi_times[i], cc_times[i], speedups[i], paper);
+  }
+  std::printf("\n");
 
   bench::shape_check(speedups.back() > speedups[2],
                      "CC speedup widens from 120 to 1024 processes");

@@ -12,9 +12,15 @@ and the exit status is 1 on any difference or a different row count, 0 when
 stdin reproduces the file exactly. Numbers compare by value, so `1.0000` on
 stdin equals `1.0` in the file.
 
-Usage: scripts/bench_diff.py BENCH_fault.json < ext_fault_tolerance.out
+With --write, after printing every moved field, the trajectory is re-recorded
+from stdin's rows as `json.dumps(rows, indent=2)` plus a newline, the form
+every BENCH_*.json file has, and the exit status is 0. A file whose rows did
+not move stays byte-identical.
+
+Usage: scripts/bench_diff.py [--write] BENCH_fault.json < ext_fault_tolerance.out
 """
 
+import argparse
 import json
 import sys
 
@@ -32,16 +38,23 @@ def show(value):
 
 
 def label(row):
-    """The row's configuration: its string fields other than the bench."""
-    return " ".join(str(v) for k, v in row.items()
-                    if k != "bench" and isinstance(v, str))
+    """The row's configuration: its string fields other than the bench, or
+    its first other field as key=value when it has none."""
+    words = [str(v) for k, v in row.items()
+             if k != "bench" and isinstance(v, str)]
+    if words:
+        return " ".join(words)
+    key = next((k for k in row if k != "bench"), None)
+    return "" if key is None else f"{key}={row[key]}"
 
 
 def main():
-    if len(sys.argv) != 2:
-        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
-        return 2
-    path = sys.argv[1]
+    parser = argparse.ArgumentParser(
+        usage=__doc__.strip().splitlines()[-1].removeprefix("Usage: "))
+    parser.add_argument("--write", action="store_true")
+    parser.add_argument("path")
+    args = parser.parse_args()
+    path = args.path
     with open(path, encoding="utf-8") as f:
         old_rows = json.load(f)
     new_rows = [json.loads(line[len("RESULT "):]) for line in sys.stdin
@@ -59,6 +72,12 @@ def main():
     if len(old_rows) != len(new_rows):
         print(f"rows: {len(old_rows)} in {path} -> {len(new_rows)} on stdin")
         diffs += 1
+    if args.write:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(json.dumps(new_rows, indent=2) + "\n")
+        print(f"bench_diff: wrote {len(new_rows)} rows to {path} "
+              f"({diffs} difference(s))")
+        return 0
     if diffs:
         print(f"bench_diff: {diffs} difference(s) against {path}",
               file=sys.stderr)

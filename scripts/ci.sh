@@ -2,13 +2,13 @@
 # CI driver: project lint -> configure -> build -> clang-tidy gate (hard
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the six
-# extension benches, shape-checked and diffed against their BENCH_*.json
-# trajectories (scripts/bench_diff.py), then an optional -Werror +
-# ASan/UBSan pass over the des/mpi/trace/prof tests, the core/stage/stream
-# data-plane suites and the svc service suite, a budgeted CHK-EXPLORE
-# schedule-exploration stage, and a chaos stage running the fault suites
-# under the sanitizers with several seeds — also under the correctness
-# checker.
+# extension benches and the Fig. 10 bench, shape-checked and diffed against
+# their BENCH_*.json trajectories (scripts/bench_diff.py), then an optional
+# -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests, the
+# core/stage/stream data-plane suites and the svc service suite, a budgeted
+# CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
+# fault suites under the sanitizers with several seeds — also under the
+# correctness checker.
 #
 # Usage: scripts/ci.sh [--fast] [--no-sanitize] [--no-chaos] [--no-tidy]
 #                      [chaos]
@@ -219,6 +219,10 @@ COLCOM_CHAOS_SEED=7 COLCOM_CHECK=1 timeout "$BUDGET" \
 # class, composed faults, and the recovery counters they move.
 bench_smoke ext_fault_tolerance BENCH_fault.json
 bench_smoke ext_soak BENCH_soak.json
+
+# The paper's Fig. 10 weak-scaling sweep, 24 to 1024 processes, through both
+# paths: the figure a plan-exchange or shuffle change moves.
+bench_smoke fig10_scalability BENCH_fig10.json
 
 # The benchmark harness checks every job against serial_reduce over the
 # generator and checks virtual-time repeatability, so a byte-synthesis or

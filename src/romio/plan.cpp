@@ -64,7 +64,9 @@ std::string hint_describe(const Hints& h) {
          " stripe_size=" + std::to_string(h.stripe_size) +
          " fd_alignment=" + std::to_string(h.fd_alignment) +
          " sieve_gap=" + std::to_string(h.sieve_gap) +
-         " context=" + std::to_string(h.context);
+         " context=" + std::to_string(h.context) +
+         " staging_aware_placement=" +
+         std::to_string(h.staging_aware_placement ? 1 : 0);
 }
 
 void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
@@ -94,6 +96,119 @@ struct ListScratch {
       std::make_unique_for_overwrite<std::byte[]>(kBytes);
   std::span<std::byte> bytes() const { return {mem.get(), kBytes}; }
 };
+
+// The pieces of `req` inside [lo, hi), as a request of their own.
+FlatRequest clip(const FlatRequest& req, std::uint64_t lo, std::uint64_t hi) {
+  std::vector<pfs::ByteExtent> clipped;
+  for (const auto& p : req.intersect(lo, hi)) {
+    clipped.push_back(pfs::ByteExtent{p.file_off, p.len});
+  }
+  return FlatRequest(std::move(clipped));
+}
+
+// Staging-aware placement over the residency `scores` (indexed by rank):
+// warm ranks (score > 0) first, highest score first, rank id breaking ties
+// — deterministic, so every rank derives the identical list. A warm pool
+// larger than the `spaced` default grows the set instead of truncating it:
+// dropping a warm rank would re-read its resident chunks cold. An explicit
+// cb_nodes still caps the growth (the hint is authoritative), as does the
+// alive pool. Cold slots fall back to the spaced default, then to the pool
+// front where the two collide; an all-cold exchange reproduces the spaced
+// default exactly.
+std::vector<int> warm_first(std::span<const std::uint64_t> scores,
+                            const std::vector<int>& pool,
+                            const std::vector<int>& spaced,
+                            const Hints& hints) {
+  std::vector<int> aggs;
+  for (int r : pool) {
+    if (scores[static_cast<std::size_t>(r)] > 0) aggs.push_back(r);
+  }
+  std::stable_sort(aggs.begin(), aggs.end(), [&scores](int a, int b) {
+    return scores[static_cast<std::size_t>(a)] >
+           scores[static_cast<std::size_t>(b)];
+  });
+  std::size_t naggs = spaced.size();
+  if (aggs.size() > naggs) {
+    const std::size_t cap =
+        hints.cb_nodes > 0
+            ? std::min(static_cast<std::size_t>(hints.cb_nodes), pool.size())
+            : pool.size();
+    naggs = std::min(aggs.size(), cap);
+    aggs.resize(naggs);
+  }
+  for (const std::vector<int>* fill : {&spaced, &pool}) {
+    for (int r : *fill) {
+      if (aggs.size() >= naggs) break;
+      if (std::find(aggs.begin(), aggs.end(), r) == aggs.end()) {
+        aggs.push_back(r);
+      }
+    }
+  }
+  return aggs;
+}
+
+// The plan math build_plan and build_plan_local share, over the agreed
+// access range [gmin, gmax) and the alive aggregator candidates `pool`
+// (ascending ranks). Sets the chunk size; rounds the range outward to
+// fd_alignment; selects cb_nodes aggregators (default `n_nodes`: the first
+// rank of each compute node, ROMIO's one-aggregator-per-node default)
+// spaced evenly over the pool, or places them warm-first when residency
+// `scores` are given; and partitions the range into even file domains, one
+// per aggregator. Returns false, leaving the plan empty, when nobody
+// accesses anything.
+bool lay_out(TwoPhasePlan& plan, std::int64_t gmin, std::int64_t gmax,
+             const std::vector<int>& pool, int n_nodes, const Hints& hints,
+             std::span<const std::uint64_t> scores) {
+  plan.cb = hints.cb_buffer_size;
+  if (gmin >= gmax) return false;
+  plan.gmin = static_cast<std::uint64_t>(gmin);
+  plan.gmax = static_cast<std::uint64_t>(gmax);
+  if (hints.fd_alignment > 1) {
+    // Round the range outward so domain boundaries land on element borders.
+    plan.gmin -= plan.gmin % hints.fd_alignment;
+    plan.gmax += (hints.fd_alignment - plan.gmax % hints.fd_alignment) %
+                 hints.fd_alignment;
+    COLCOM_EXPECT_MSG(hints.cb_buffer_size % hints.fd_alignment == 0,
+                      "cb_buffer_size must be a multiple of fd_alignment");
+  }
+
+  COLCOM_EXPECT_MSG(!pool.empty(), "no alive aggregator candidate");
+  const int npool = static_cast<int>(pool.size());
+  const int naggs =
+      std::max(1, std::min(hints.cb_nodes > 0 ? hints.cb_nodes : n_nodes,
+                           npool));
+  const int spacing = std::max(1, npool / naggs);
+  for (int a = 0; a < naggs; ++a) {
+    plan.aggregators.push_back(
+        pool[static_cast<std::size_t>(std::min(a * spacing, npool - 1))]);
+  }
+  if (!scores.empty()) {
+    plan.aggregators = warm_first(scores, pool, plan.aggregators, hints);
+  }
+
+  // Even file-domain partitioning (optionally stripe-aligned).
+  const auto n = static_cast<std::uint64_t>(plan.aggregators.size());
+  std::uint64_t per = (plan.gmax - plan.gmin + n - 1) / n;
+  if (hints.stripe_aligned_fd && hints.stripe_size > 0) {
+    per = ((per + hints.stripe_size - 1) / hints.stripe_size) *
+          hints.stripe_size;
+  }
+  if (hints.fd_alignment > 1) {
+    per = ((per + hints.fd_alignment - 1) / hints.fd_alignment) *
+          hints.fd_alignment;
+  }
+  per = std::max<std::uint64_t>(per, 1);
+  std::uint64_t max_domain = 0;
+  for (std::uint64_t a = 0; a < n; ++a) {
+    const std::uint64_t b = std::min(plan.gmax, plan.gmin + a * per);
+    const std::uint64_t e = std::min(plan.gmax, b + per);
+    plan.fd_begin.push_back(b);
+    plan.fd_end.push_back(e);
+    max_domain = std::max(max_domain, e - b);
+  }
+  plan.n_iters = static_cast<int>((max_domain + plan.cb - 1) / plan.cb);
+  return true;
+}
 }
 
 std::vector<pfs::ByteExtent> chunk_read_extents(
@@ -233,36 +348,18 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
                            hint_describe(hints));
   }
   TwoPhasePlan plan;
-  plan.cb = hints.cb_buffer_size;
 
-  // Agree on the global access range.
-  const std::int64_t my_min =
-      mine.empty() ? std::numeric_limits<std::int64_t>::max()
-                   : static_cast<std::int64_t>(mine.min_offset());
-  const std::int64_t my_max =
-      mine.empty() ? 0 : static_cast<std::int64_t>(mine.max_offset());
-  std::int64_t gmin = 0, gmax = 0;
-  comm.allreduce(&my_min, &gmin, 1, mpi::Prim::i64, mpi::Op::min());
-  comm.allreduce(&my_max, &gmax, 1, mpi::Prim::i64, mpi::Op::max());
-  if (gmin >= gmax) {  // nobody accesses anything
-    plan.gmin = plan.gmax = 0;
-    return plan;
-  }
-  plan.gmin = static_cast<std::uint64_t>(gmin);
-  plan.gmax = static_cast<std::uint64_t>(gmax);
-  if (hints.fd_alignment > 1) {
-    // Round the range outward so domain boundaries land on element borders.
-    plan.gmin -= plan.gmin % hints.fd_alignment;
-    plan.gmax += (hints.fd_alignment - plan.gmax % hints.fd_alignment) %
-                 hints.fd_alignment;
-    COLCOM_EXPECT_MSG(hints.cb_buffer_size % hints.fd_alignment == 0,
-                      "cb_buffer_size must be a multiple of fd_alignment");
-  }
+  // Agree on the global access range: one max over {-min, max}.
+  constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t my_range[2] = {
+      mine.empty() ? -kNone : -static_cast<std::int64_t>(mine.min_offset()),
+      mine.empty() ? 0 : static_cast<std::int64_t>(mine.max_offset())};
+  std::int64_t range[2] = {0, 0};
+  comm.allreduce(my_range, range, 2, mpi::Prim::i64, mpi::Op::max());
+  const std::int64_t gmin = -range[0], gmax = range[1];
 
-  // Aggregator selection: cb_nodes ranks spread evenly (default: the first
-  // rank of each compute node, ROMIO's one-aggregator-per-node default).
   // Under an installed chaos schedule, ranks already crashed at t=0 are
-  // excluded from the candidate pool.
+  // excluded from the aggregator candidate pool.
   const int nprocs = comm.size();
   std::vector<int> pool;
   pool.reserve(static_cast<std::size_t>(nprocs));
@@ -274,124 +371,63 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
       pool.push_back(r);
     }
   }
-  COLCOM_EXPECT_MSG(!pool.empty(), "every rank crashed before t=0");
-  const int npool = static_cast<int>(pool.size());
-  int naggs = hints.cb_nodes > 0 ? std::min(hints.cb_nodes, npool)
-                                 : std::min(comm.runtime().n_nodes(), npool);
-  naggs = std::max(1, naggs);
-  const int spacing = std::max(1, npool / naggs);
-  std::vector<int> spaced;
-  spaced.reserve(static_cast<std::size_t>(naggs));
-  for (int a = 0; a < naggs; ++a) {
-    spaced.push_back(
-        pool[static_cast<std::size_t>(std::min(a * spacing, npool - 1))]);
+  // Staging-aware placement: every rank shares its burst-buffer residency
+  // score for the target file.
+  std::vector<std::uint64_t> scores;
+  if (hints.staging_aware_placement && gmin < gmax) {
+    scores.resize(static_cast<std::size_t>(nprocs));
+    const std::vector<std::uint64_t> counts(static_cast<std::size_t>(nprocs),
+                                            sizeof(std::uint64_t));
+    comm.allgatherv(std::as_bytes(std::span(&my_residency, 1)), counts,
+                    std::as_writable_bytes(std::span(scores)));
   }
-  if (hints.staging_aware_placement) {
-    // Staging-aware placement: every rank shares its burst-buffer residency
-    // score for the target file; warm ranks (score > 0) are selected first,
-    // highest score wins, rank id breaks ties — deterministic, so every
-    // rank derives the identical aggregator list. Cold slots fall back to
-    // the spaced default, and an all-cold exchange reproduces it exactly.
-    std::vector<std::uint64_t> scores(static_cast<std::size_t>(nprocs), 0);
-    {
-      const std::vector<std::uint64_t> counts(
-          static_cast<std::size_t>(nprocs), sizeof(std::uint64_t));
-      comm.allgatherv(
-          std::span<const std::byte>(
-              reinterpret_cast<const std::byte*>(&my_residency),
-              sizeof(my_residency)),
-          counts,
-          std::span<std::byte>(reinterpret_cast<std::byte*>(scores.data()),
-                               scores.size() * sizeof(std::uint64_t)));
-    }
-    std::vector<int> warm;
-    for (int r : pool) {
-      if (scores[static_cast<std::size_t>(r)] > 0) warm.push_back(r);
-    }
-    std::stable_sort(warm.begin(), warm.end(), [&scores](int a, int b) {
-      return scores[static_cast<std::size_t>(a)] >
-             scores[static_cast<std::size_t>(b)];
-    });
-    if (static_cast<int>(warm.size()) > naggs) {
-      // A warm pool larger than the default aggregator count grows the
-      // set instead of truncating it: dropping a warm rank would re-read
-      // its resident chunks cold. An explicit cb_nodes still caps the
-      // growth (the hint is authoritative), as does the alive pool.
-      const int cap =
-          hints.cb_nodes > 0 ? std::min(hints.cb_nodes, npool) : npool;
-      naggs = std::min(static_cast<int>(warm.size()), cap);
-      if (static_cast<int>(warm.size()) > naggs) {
-        warm.resize(static_cast<std::size_t>(naggs));
-      }
-    }
-    plan.aggregators = warm;
-    for (int r : spaced) {
-      if (static_cast<int>(plan.aggregators.size()) >= naggs) break;
-      if (std::find(plan.aggregators.begin(), plan.aggregators.end(), r) ==
-          plan.aggregators.end()) {
-        plan.aggregators.push_back(r);
-      }
-    }
-    // Backstop when the spaced defaults collide with warm picks: fill from
-    // the pool front.
-    for (int r : pool) {
-      if (static_cast<int>(plan.aggregators.size()) >= naggs) break;
-      if (std::find(plan.aggregators.begin(), plan.aggregators.end(), r) ==
-          plan.aggregators.end()) {
-        plan.aggregators.push_back(r);
-      }
-    }
-  } else {
-    plan.aggregators = std::move(spaced);
+  if (!lay_out(plan, gmin, gmax, pool, comm.runtime().n_nodes(), hints,
+               scores)) {
+    return plan;
   }
-
-  // Even file-domain partitioning (optionally stripe-aligned).
-  const std::uint64_t len = plan.gmax - plan.gmin;
-  std::uint64_t per = (len + static_cast<std::uint64_t>(naggs) - 1) /
-                      static_cast<std::uint64_t>(naggs);
-  if (hints.stripe_aligned_fd && hints.stripe_size > 0) {
-    per = ((per + hints.stripe_size - 1) / hints.stripe_size) *
-          hints.stripe_size;
-  }
-  if (hints.fd_alignment > 1) {
-    per = ((per + hints.fd_alignment - 1) / hints.fd_alignment) *
-          hints.fd_alignment;
-  }
-  per = std::max<std::uint64_t>(per, 1);
-  std::uint64_t max_domain = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const std::uint64_t b =
-        std::min(plan.gmax, plan.gmin + static_cast<std::uint64_t>(a) * per);
-    const std::uint64_t e = std::min(plan.gmax, b + per);
-    plan.fd_begin.push_back(b);
-    plan.fd_end.push_back(e);
-    max_domain = std::max(max_domain, e - b);
-  }
-  plan.n_iters =
-      static_cast<int>((max_domain + plan.cb - 1) / plan.cb);
 
   // Exchange access information: every rank ships the part of its offset
-  // list that falls in each aggregator's file domain to that aggregator.
+  // list that falls in an aggregator's file domain to that aggregator, and
+  // only when that part is non-empty. Who sends travels in one allreduce of
+  // an nprocs × aggregators bitmap; each rank sets only its own bits, so the
+  // i64 sum is their OR, and each aggregator then receives from exactly the
+  // flagged ranks. The lists leave only after the allreduce: posted before
+  // it, they contend with its tree steps (perfbench's paper_scale ran 10%
+  // longer in virtual time that way).
   TRACE_SPAN(comm.engine(), "romio", "exchange");
+  const std::size_t naggs = plan.aggregators.size();
+  const auto bit = [naggs](int r, std::size_t a) {
+    return static_cast<std::size_t>(r) * naggs + a;
+  };
+  const std::size_t nbits = static_cast<std::size_t>(nprocs) * naggs;
+  std::vector<std::uint64_t> my_bits((nbits + 63) / 64, 0);
+  std::vector<std::vector<std::byte>> wires(naggs);
+  for (std::size_t a = 0; a < naggs; ++a) {
+    const FlatRequest clipped = clip(mine, plan.fd_begin[a], plan.fd_end[a]);
+    if (clipped.empty()) continue;
+    const std::size_t b = bit(comm.rank(), a);
+    my_bits[b / 64] |= std::uint64_t{1} << (b % 64);
+    wires[a] = clipped.serialize();
+  }
+  std::vector<std::uint64_t> senders(my_bits.size(), 0);
+  comm.allreduce(my_bits.data(), senders.data(), senders.size(),
+                 mpi::Prim::i64, mpi::Op::sum());
   std::vector<mpi::Request> sends;
-  std::vector<std::vector<std::byte>> wires(plan.aggregators.size());
-  for (int a = 0; a < naggs; ++a) {
-    const auto ia = static_cast<std::size_t>(a);
-    std::vector<pfs::ByteExtent> clipped;
-    for (const auto& p : mine.intersect(plan.fd_begin[ia], plan.fd_end[ia])) {
-      clipped.push_back(pfs::ByteExtent{p.file_off, p.len});
-    }
-    wires[ia] = FlatRequest(std::move(clipped)).serialize();
-    sends.push_back(comm.isend(plan.aggregators[ia], plan_tag(hints), wires[ia]));
+  for (std::size_t a = 0; a < naggs; ++a) {
+    if (wires[a].empty()) continue;
+    sends.push_back(comm.isend(plan.aggregators[a], plan_tag(hints), wires[a]));
   }
 
-  if (plan.is_aggregator(comm.rank())) {
+  const int my_agg = plan.aggregator_index(comm.rank());
+  if (my_agg >= 0) {
     plan.domain_requests.resize(static_cast<std::size_t>(nprocs));
-    // Receive every rank's clipped list (deterministic rank order).
+    // Receive every flagged rank's clipped list (deterministic rank order).
     // recv_ft degrades to recv() without an injector and turns a
     // mid-exchange peer death into a structured fault instead of a hang.
     const ListScratch scratch;
     for (int r = 0; r < nprocs; ++r) {
+      const std::size_t b = bit(r, static_cast<std::size_t>(my_agg));
+      if (((senders[b / 64] >> (b % 64)) & 1) == 0) continue;
       const auto info = comm.recv_ft(r, plan_tag(hints), scratch.bytes());
       plan.domain_requests[static_cast<std::size_t>(r)] =
           FlatRequest::deserialize(scratch.bytes().first(info.bytes));
@@ -440,7 +476,6 @@ TwoPhasePlan build_plan_local(const std::vector<FlatRequest>& all_requests,
   COLCOM_EXPECT(hints.cb_buffer_size >= 1);
   COLCOM_EXPECT(!survivors.empty());
   TwoPhasePlan plan;
-  plan.cb = hints.cb_buffer_size;
 
   // The global access range over the survivors' requests (a dead rank's
   // share of the hyperslab is simply not part of the shrunken-world job).
@@ -452,56 +487,9 @@ TwoPhasePlan build_plan_local(const std::vector<FlatRequest>& all_requests,
     gmin = std::min(gmin, static_cast<std::int64_t>(req.min_offset()));
     gmax = std::max(gmax, static_cast<std::int64_t>(req.max_offset()));
   }
-  if (gmin >= gmax) {  // nobody accesses anything
-    plan.gmin = plan.gmax = 0;
-    return plan;
-  }
-  plan.gmin = static_cast<std::uint64_t>(gmin);
-  plan.gmax = static_cast<std::uint64_t>(gmax);
-  if (hints.fd_alignment > 1) {
-    plan.gmin -= plan.gmin % hints.fd_alignment;
-    plan.gmax += (hints.fd_alignment - plan.gmax % hints.fd_alignment) %
-                 hints.fd_alignment;
-    COLCOM_EXPECT_MSG(hints.cb_buffer_size % hints.fd_alignment == 0,
-                      "cb_buffer_size must be a multiple of fd_alignment");
-  }
-
-  // Spaced aggregator selection over the survivor pool — the same math as
-  // build_plan's default placement with `survivors` as the alive pool.
-  const std::vector<int>& pool = survivors;
-  const int npool = static_cast<int>(pool.size());
-  int naggs = hints.cb_nodes > 0 ? std::min(hints.cb_nodes, npool)
-                                 : std::min(n_nodes, npool);
-  naggs = std::max(1, naggs);
-  const int spacing = std::max(1, npool / naggs);
-  for (int a = 0; a < naggs; ++a) {
-    plan.aggregators.push_back(
-        pool[static_cast<std::size_t>(std::min(a * spacing, npool - 1))]);
-  }
-
-  // Even file-domain partitioning (same math as build_plan).
-  const std::uint64_t len = plan.gmax - plan.gmin;
-  std::uint64_t per = (len + static_cast<std::uint64_t>(naggs) - 1) /
-                      static_cast<std::uint64_t>(naggs);
-  if (hints.stripe_aligned_fd && hints.stripe_size > 0) {
-    per = ((per + hints.stripe_size - 1) / hints.stripe_size) *
-          hints.stripe_size;
-  }
-  if (hints.fd_alignment > 1) {
-    per = ((per + hints.fd_alignment - 1) / hints.fd_alignment) *
-          hints.fd_alignment;
-  }
-  per = std::max<std::uint64_t>(per, 1);
-  std::uint64_t max_domain = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const std::uint64_t b =
-        std::min(plan.gmax, plan.gmin + static_cast<std::uint64_t>(a) * per);
-    const std::uint64_t e = std::min(plan.gmax, b + per);
-    plan.fd_begin.push_back(b);
-    plan.fd_end.push_back(e);
-    max_domain = std::max(max_domain, e - b);
-  }
-  plan.n_iters = static_cast<int>((max_domain + plan.cb - 1) / plan.cb);
+  // Spaced placement over the survivor pool; staging-aware placement is
+  // never consulted (its residency allgather is a collective).
+  if (!lay_out(plan, gmin, gmax, survivors, n_nodes, hints, {})) return plan;
 
   // Replicated metadata: survivors' full requests everywhere (dead ranks
   // stay empty), so later aggregator deaths still recover via replan_local.
@@ -518,16 +506,9 @@ TwoPhasePlan build_plan_local(const std::vector<FlatRequest>& all_requests,
   const int my_agg = plan.aggregator_index(rank);
   if (my_agg >= 0) {
     const auto ia = static_cast<std::size_t>(my_agg);
-    plan.domain_requests.resize(static_cast<std::size_t>(nprocs));
-    for (int r = 0; r < nprocs; ++r) {
-      std::vector<pfs::ByteExtent> clipped;
-      for (const auto& p : plan.all_requests[static_cast<std::size_t>(r)]
-                               .intersect(plan.fd_begin[ia],
-                                          plan.fd_end[ia])) {
-        clipped.push_back(pfs::ByteExtent{p.file_off, p.len});
-      }
-      plan.domain_requests[static_cast<std::size_t>(r)] =
-          FlatRequest(std::move(clipped));
+    for (const FlatRequest& req : plan.all_requests) {
+      plan.domain_requests.push_back(
+          clip(req, plan.fd_begin[ia], plan.fd_end[ia]));
     }
   }
   return plan;
@@ -544,12 +525,8 @@ std::vector<FlatRequest> replan_exchange(mpi::Comm& comm,
   TRACE_SPAN(comm.engine(), "romio", "replan");
   // Ship my offset list clipped to the dead domain to every survivor, so
   // any of them can serve its chunks.
-  std::vector<pfs::ByteExtent> clipped;
-  for (const auto& p : mine.intersect(plan.fd_begin[id], plan.fd_end[id])) {
-    clipped.push_back(pfs::ByteExtent{p.file_off, p.len});
-  }
   const std::vector<std::byte> wire =
-      FlatRequest(std::move(clipped)).serialize();
+      clip(mine, plan.fd_begin[id], plan.fd_end[id]).serialize();
   std::vector<mpi::Request> sends;
   sends.reserve(survivors.size());
   for (const int s : survivors) {
@@ -586,11 +563,7 @@ std::vector<FlatRequest> replan_local(mpi::Comm& comm,
   std::vector<FlatRequest> absorbed;
   absorbed.reserve(plan.all_requests.size());
   for (const FlatRequest& req : plan.all_requests) {
-    std::vector<pfs::ByteExtent> clipped;
-    for (const auto& p : req.intersect(plan.fd_begin[id], plan.fd_end[id])) {
-      clipped.push_back(pfs::ByteExtent{p.file_off, p.len});
-    }
-    absorbed.push_back(FlatRequest(std::move(clipped)));
+    absorbed.push_back(clip(req, plan.fd_begin[id], plan.fd_end[id]));
   }
   return absorbed;
 }

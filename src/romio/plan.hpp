@@ -96,12 +96,16 @@ struct TwoPhasePlan {
 };
 
 /// Builds the plan collectively. Every rank must call with its own request.
-/// Cost model: two allreduces (min, then max) agree on [gmin,gmax); then
-/// every rank sends its offset list clipped to each aggregator's file
-/// domain to that aggregator — an empty list when the request misses the
-/// domain — and each aggregator receives one list from every rank, so the
-/// exchange is nprocs × aggregators messages. Ranks already crashed at t=0
-/// under an installed chaos schedule are never selected as aggregators.
+/// Cost model: one allreduce (a max over {-min, max}) agrees on
+/// [gmin,gmax). Then every rank sends its offset list clipped to an
+/// aggregator's file domain to that aggregator only when the clipped list
+/// is non-empty, and one more allreduce — of an nprocs × aggregators
+/// bitmap, one bit per non-empty list — tells each aggregator exactly
+/// which ranks send. The exchange is two collectives plus one message per
+/// non-empty (rank, aggregator) list: a contiguous slab per rank sends
+/// about one list, an interleaved request one to every aggregator. Ranks
+/// already crashed at t=0 under an installed chaos schedule are never
+/// selected as aggregators.
 /// `my_residency` is this rank's staging-residency score
 /// (stage::StagingArea::residency_bytes of the target file), consulted only
 /// under hints.staging_aware_placement — which adds one allgather to share

@@ -380,6 +380,28 @@ TEST(CheckHint, DivergentHintsAcrossOneCollectiveOpenAreFlagged) {
   EXPECT_EQ(it->ranks.size(), 2u);
 }
 
+TEST(CheckHint, DivergentStagingAwarePlacementIsNamed) {
+  check::CheckSession cs(check::Mode::report);
+  mpi::Runtime rt(small_machine(), 4);
+  rt.run([](mpi::Comm& c) {
+    romio::Hints hints;
+    // Seeded bug: one rank alone asks for staging-aware placement. Every
+    // request is empty, so the plan ends after the range agreement, before
+    // the residency allgather that rank alone would enter.
+    hints.staging_aware_placement = c.rank() == 1;
+    (void)romio::build_plan(c, romio::FlatRequest{}, hints);
+  });
+  const check::Checker& ck = cs.checker();
+  const auto it =
+      std::find_if(ck.findings().begin(), ck.findings().end(),
+                   [](const check::Diagnostic& d) {
+                     return d.rule == check::Rule::hint_mismatch;
+                   });
+  ASSERT_NE(it, ck.findings().end());
+  EXPECT_TRUE(contains(it->message, "staging_aware_placement=1"));
+  EXPECT_TRUE(contains(it->message, "staging_aware_placement=0"));
+}
+
 TEST(CheckHint, IdenticalHintsStaySilent) {
   check::CheckSession cs(check::Mode::strict);
   mpi::Runtime rt(small_machine(), 4);

@@ -2,7 +2,9 @@
 // independent I/O with data sieving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <numeric>
 
 #include "mpi/runtime.hpp"
@@ -227,6 +229,78 @@ TEST(Plan, EmptyWorldRequest) {
     if (c.rank() == 0) iters = p.n_iters;
   });
   EXPECT_EQ(iters, 0);
+}
+
+// Builds the plan collectively over `request(r)` on every rank r, then
+// checks it against the message-free reference: build_plan_local over
+// every rank's request must agree on the layout, and every aggregator's
+// domain_requests must match rank by rank, as extents and as wire bytes.
+// Returns the messages the collective build put on the network.
+std::uint64_t expect_plan_matches_local(
+    int nprocs, const std::function<FlatRequest(int)>& request) {
+  Hints h;
+  h.cb_buffer_size = 512;
+  mpi::Runtime rt(small_machine(), nprocs);
+  std::vector<TwoPhasePlan> plans(static_cast<std::size_t>(nprocs));
+  rt.run([&](mpi::Comm& c) {
+    plans[static_cast<std::size_t>(c.rank())] =
+        build_plan(c, request(c.rank()), h);
+  });
+  std::vector<FlatRequest> all;
+  std::vector<int> everyone;
+  for (int r = 0; r < nprocs; ++r) {
+    all.push_back(request(r));
+    everyone.push_back(r);
+  }
+  for (int r = 0; r < nprocs; ++r) {
+    const TwoPhasePlan want =
+        build_plan_local(all, everyone, r, rt.n_nodes(), h);
+    const TwoPhasePlan& got = plans[static_cast<std::size_t>(r)];
+    EXPECT_EQ(got.gmin, want.gmin);
+    EXPECT_EQ(got.gmax, want.gmax);
+    EXPECT_EQ(got.aggregators, want.aggregators);
+    EXPECT_EQ(got.fd_begin, want.fd_begin);
+    EXPECT_EQ(got.fd_end, want.fd_end);
+    EXPECT_EQ(got.n_iters, want.n_iters);
+    EXPECT_EQ(got.domain_requests.size(), want.domain_requests.size())
+        << "rank " << r;
+    const std::size_t n =
+        std::min(got.domain_requests.size(), want.domain_requests.size());
+    for (std::size_t q = 0; q < n; ++q) {
+      EXPECT_EQ(got.domain_requests[q].extents(),
+                want.domain_requests[q].extents())
+          << "aggregator " << r << ", peer " << q;
+      EXPECT_EQ(got.domain_requests[q].serialize(),
+                want.domain_requests[q].serialize())
+          << "aggregator " << r << ", peer " << q;
+    }
+  }
+  return rt.network().stats().messages;
+}
+
+TEST(Plan, SparseExchangeMatchesLocalBuildOnSlabs) {
+  // A contiguous slab per rank over 8 nodes: each slab falls in one file
+  // domain, so 32 of the 256 (rank, aggregator) lists are non-empty, and
+  // only those travel.
+  constexpr int kProcs = 32;
+  const std::uint64_t messages = expect_plan_matches_local(kProcs, [](int r) {
+    return FlatRequest({{static_cast<std::uint64_t>(r) * 1000, 1000}});
+  });
+  EXPECT_LT(messages, std::uint64_t{kProcs} * 8);
+}
+
+TEST(Plan, SparseExchangeMatchesLocalBuildWhenInterleaved) {
+  // 50-byte blocks dealt round-robin: every rank has two blocks in each of
+  // the 8 file domains, so every (rank, aggregator) list travels.
+  constexpr int kProcs = 32;
+  const std::uint64_t messages = expect_plan_matches_local(kProcs, [](int r) {
+    std::vector<pfs::ByteExtent> blocks;
+    for (std::uint64_t k = 0; k < 16; ++k) {
+      blocks.push_back({(k * kProcs + static_cast<std::uint64_t>(r)) * 50, 50});
+    }
+    return FlatRequest(std::move(blocks));
+  });
+  EXPECT_GE(messages, std::uint64_t{kProcs} * 8);
 }
 
 // Shared harness: N ranks collectively read interleaved blocks and verify
