@@ -5,7 +5,8 @@
 # extension benches and the Fig. 10 bench, shape-checked and diffed against
 # their BENCH_*.json trajectories (scripts/bench_diff.py), then an optional
 # -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests, the
-# core/stage/stream data-plane suites and the svc service suite, a budgeted
+# core/stage/stream data-plane suites, the svc service suite and the
+# romio/pfs suites (in-place shuffle spans, in-place overlay edits), a budgeted
 # CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
 # fault suites under the sanitizers with several seeds — also under the
 # correctness checker.
@@ -243,7 +244,7 @@ if [[ $SANITIZE -eq 1 ]]; then
   step "sanitizer build (-Werror + ASan/UBSan)"
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" \
     --target test_des test_mpi_comm test_trace test_prof \
-    test_core test_stage test_stream test_svc
+    test_core test_stage test_stream test_svc test_romio test_pfs
 
   # test_des switches a thousand fibers and unwinds one while others stay
   # suspended; test_mpi_comm drives the matcher against its reference model
@@ -255,8 +256,11 @@ if [[ $SANITIZE -eq 1 ]]; then
   # a non-writer's slot buffer in flight until its next park; the chaos
   # stage's test_svc_recovery and ext_soak runs park under ASan with
   # COLCOM_CHECK=1, whose send-buffer check reads that buffer when the send
-  # is settled, so a buffer freed or reused early fails there.
-  step "sanitizer run (des + mpi + trace + prof + data-plane + svc tests)"
+  # is settled, so a buffer freed or reused early fails there. test_romio
+  # shuffles in place: receives land in spans of user buffers and chunk
+  # windows and sends read spans of them, so a span that outlives its
+  # buffer fails here. test_pfs edits OverlayStore blocks in place.
+  step "sanitizer run (des/mpi/trace/prof, data-plane, svc, romio, pfs)"
   sanitizer_env
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_des"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_mpi_comm"
@@ -266,6 +270,8 @@ if [[ $SANITIZE -eq 1 ]]; then
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_stage"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_stream"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_svc"
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_romio"
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_pfs"
 
   # CHK-EXPLORE: bounded-budget schedule exploration of the 4-rank
   # ft-agreement and svc resubmit-from-mid worlds, plus the seeded-bug

@@ -1278,7 +1278,10 @@ CcStats traditional_compute(mpi::Comm& comm, const ncio::Dataset& ds,
 
   const auto mine_req = ds.slab_request(obj.var, obj.start, obj.count);
   stats.elements = mine_req.total_bytes() / esize;
-  std::vector<std::byte> buffer(mine_req.total_bytes());
+  // Left uninitialized: the read fills every byte.
+  const auto storage =
+      std::make_unique_for_overwrite<std::byte[]>(mine_req.total_bytes());
+  const std::span<std::byte> buffer(storage.get(), mine_req.total_bytes());
 
   // Phase 1: the whole read completes before any analysis (blocking).
   const double io0 = comm.wtime();

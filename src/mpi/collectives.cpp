@@ -3,6 +3,7 @@
 // Mirrors the classic MPICH algorithm choices so communication cost emerges
 // from the network model.
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "check/check.hpp"
@@ -107,6 +108,15 @@ void Comm::bcast(std::span<std::byte> data, int root) {
 
 void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
                   Prim p, const Op& op, int root) {
+  // Only the root's recv_buf is written (MPI semantics); any other rank
+  // accumulates in a buffer of its own.
+  std::vector<std::byte> own(rank_ == root ? 0 : count * prim_size(p));
+  auto* acc = rank_ == root ? static_cast<std::byte*>(recv_buf) : own.data();
+  reduce_into(send_buf, acc, count, p, op, root);
+}
+
+void Comm::reduce_into(const void* send_buf, std::byte* acc, std::size_t count,
+                       Prim p, const Op& op, int root) {
   TRACE_SPAN(engine(), "coll", "reduce");
   TRACE_COUNT(engine(), ::colcom::trace::Track::ranks, "mpi.collectives", 1);
   note_coll(rank_, Coll::reduce, "reduce", root, count, static_cast<int>(p),
@@ -115,12 +125,10 @@ void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
   COLCOM_EXPECT(root >= 0 && root < n);
   COLCOM_EXPECT(op.valid() && op.commutative());
   const std::size_t bytes = count * prim_size(p);
+  if (acc != send_buf) std::memcpy(acc, send_buf, bytes);
 
-  // Working accumulator starts as the local contribution.
-  std::vector<std::byte> acc(bytes);
-  std::memcpy(acc.data(), send_buf, bytes);
-  std::vector<std::byte> tmp(bytes);
-
+  // One receive scratch, left uninitialized: every receive fills it whole.
+  std::unique_ptr<std::byte[]> tmp;
   const int relrank = (rank_ - root + n) % n;
   int mask = 1;
   while (mask < n) {
@@ -128,19 +136,19 @@ void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
       const int rel_src = relrank | mask;
       if (rel_src < n) {
         const int src = (rel_src + root) % n;
-        recv(src, kTagReduce, std::span<std::byte>(tmp));
-        op.apply(tmp.data(), acc.data(), count, p);
+        if (!tmp) tmp = std::make_unique_for_overwrite<std::byte[]>(bytes);
+        recv(src, kTagReduce, std::span<std::byte>(tmp.get(), bytes));
+        op.apply(tmp.get(), acc, count, p);
         // Charge the combine as user compute (bytes touched / memcpy rate).
         compute(static_cast<double>(bytes) / world_->rt->config().memcpy_bw);
       }
     } else {
       const int dst = ((relrank & ~mask) + root) % n;
-      send(dst, kTagReduce, std::span<const std::byte>(acc));
+      send(dst, kTagReduce, std::span<const std::byte>(acc, bytes));
       break;
     }
     mask <<= 1;
   }
-  if (rank_ == root) std::memcpy(recv_buf, acc.data(), bytes);
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, std::size_t count,
@@ -149,10 +157,11 @@ void Comm::allreduce(const void* send_buf, void* recv_buf, std::size_t count,
   TRACE_COUNT(engine(), ::colcom::trace::Track::ranks, "mpi.collectives", 1);
   note_coll(rank_, Coll::allreduce, "allreduce", -1, count,
             static_cast<int>(p), static_cast<int>(op.kind()));
-  reduce(send_buf, recv_buf, count, p, op, 0);
-  bcast(std::span<std::byte>(static_cast<std::byte*>(recv_buf),
-                             count * prim_size(p)),
-        0);
+  // Every rank accumulates in its result buffer, which the bcast overwrites
+  // anyway.
+  auto* result = static_cast<std::byte*>(recv_buf);
+  reduce_into(send_buf, result, count, p, op, 0);
+  bcast({result, count * prim_size(p)}, 0);
 }
 
 void Comm::gather(std::span<const std::byte> send, std::span<std::byte> recv,

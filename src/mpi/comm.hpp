@@ -122,10 +122,12 @@ class Comm {
   // --- collectives (all ranks of the world must participate) ---
   void barrier();
   void bcast(std::span<std::byte> data, int root);
-  /// recv = reduction over all ranks' `send` (count elements of p); result
-  /// significant at root only.
+  /// recv = reduction over all ranks' `send` (count elements of p), written
+  /// at root only; send == recv reduces in place there.
   void reduce(const void* send, void* recv, std::size_t count, Prim p,
               const Op& op, int root);
+  /// Every rank accumulates in its own `recv`, so no two ranks may pass the
+  /// same one; send == recv reduces in place.
   void allreduce(const void* send, void* recv, std::size_t count, Prim p,
                  const Op& op);
   /// Equal-size gather; recv (root only) holds size() * block bytes.
@@ -173,6 +175,12 @@ class Comm {
   friend void ft::crash_point(Comm&, fault::Phase);
   friend ft::Verdict ft::agree(Comm&, std::span<const std::uint64_t>, int);
   Comm(World* world, int rank) : world_(world), rank_(rank) {}
+
+  /// The binomial reduce tree towards `root`, accumulating in `acc`: it
+  /// starts as this rank's `send` (acc == send is in place) and ends, at
+  /// root, as the result.
+  void reduce_into(const void* send, std::byte* acc, std::size_t count,
+                   Prim p, const Op& op, int root);
 
   /// Applies the chaos straggler factor (1.0 on a fault-free machine).
   double scale_cpu(double seconds) const;

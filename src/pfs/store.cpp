@@ -39,34 +39,33 @@ void OverlayStore::read(std::uint64_t offset,
 void OverlayStore::write(std::uint64_t offset,
                          std::span<const std::byte> src) {
   if (src.empty()) return;
-  const std::uint64_t lo = offset;
   const std::uint64_t hi = offset + src.size();
   end_ = std::max(end_, hi);
 
-  // Merge with any extents overlapping or touching [lo, hi).
-  std::uint64_t new_lo = lo;
-  std::uint64_t new_hi = hi;
-  auto first = overlay_.upper_bound(lo);
-  if (first != overlay_.begin()) {
-    auto prev = std::prev(first);
-    if (prev->first + prev->second.size() >= lo) first = prev;
+  // Overwrite the blocks [offset, hi) overlaps in place and add a block for
+  // each gap between them, so a write costs O(bytes written).
+  auto it = overlay_.upper_bound(offset);
+  if (it != overlay_.begin()) {
+    const auto prev = std::prev(it);
+    if (prev->first + prev->second.size() > offset) it = prev;
   }
-  auto last = first;
-  while (last != overlay_.end() && last->first <= hi) {
-    new_lo = std::min(new_lo, last->first);
-    new_hi = std::max(new_hi, last->first + last->second.size());
-    ++last;
+  std::uint64_t pos = offset;  // first byte not yet written
+  while (pos < hi) {
+    const std::byte* in = src.data() + (pos - offset);
+    const std::uint64_t gap_end =
+        it == overlay_.end() ? hi : std::min(hi, it->first);
+    if (pos < gap_end) {
+      overlay_.emplace_hint(it, pos,
+                            std::vector<std::byte>(in, in + (gap_end - pos)));
+      pos = gap_end;
+      continue;
+    }
+    std::vector<std::byte>& block = it->second;
+    const std::uint64_t n = std::min(hi, it->first + block.size()) - pos;
+    std::memcpy(block.data() + (pos - it->first), in, n);
+    pos += n;
+    ++it;
   }
-  std::vector<std::byte> merged(new_hi - new_lo);
-  // Old content first (so the new write wins where they overlap)...
-  for (auto it = first; it != last; ++it) {
-    std::memcpy(merged.data() + (it->first - new_lo), it->second.data(),
-                it->second.size());
-  }
-  // ...then the incoming bytes.
-  std::memcpy(merged.data() + (lo - new_lo), src.data(), src.size());
-  overlay_.erase(first, last);
-  overlay_.emplace(new_lo, std::move(merged));
 }
 
 }  // namespace colcom::pfs

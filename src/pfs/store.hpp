@@ -197,7 +197,8 @@ class OverlayStore final : public Store {
 
  private:
   std::unique_ptr<Store> base_;
-  // start offset -> bytes; extents are kept non-overlapping and non-adjacent.
+  // start offset -> bytes; blocks never overlap but may touch. A write
+  // overwrites the blocks it overlaps in place and adds one per gap.
   std::map<std::uint64_t, std::vector<std::byte>> overlay_;
   std::uint64_t end_ = 0;
 };

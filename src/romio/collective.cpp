@@ -29,14 +29,31 @@ int write_tag(const Hints& h) { return kWriteDataTag - h.context * 16; }
   return true;
 }();
 
+/// Bytes of `pieces`, all from one file range of one request. They sit back
+/// to back in the requesting rank's buffer: FlatRequest keeps buffer order
+/// equal to file order.
+std::uint64_t piece_bytes(const std::vector<Piece>& pieces) {
+  return pieces.back().buf_off + pieces.back().len - pieces.front().buf_off;
+}
+
+/// The run of a chunk window (whose first byte is file offset `chunk_lo`)
+/// that `pieces` cover when they are back to back in the file too; empty
+/// when holes split them.
+template <typename Byte>
+std::span<Byte> window_run(std::span<Byte> window, std::uint64_t chunk_lo,
+                           const std::vector<Piece>& pieces) {
+  const std::uint64_t n = piece_bytes(pieces);
+  const Piece& last = pieces.back();
+  if (last.file_off + last.len - pieces.front().file_off != n) return {};
+  return window.subspan(pieces.front().file_off - chunk_lo, n);
+}
+
 /// Packs `pieces` of the chunk buffer (which covers file range starting at
 /// `chunk_lo`) into a contiguous wire buffer.
 std::vector<std::byte> pack_pieces(std::span<const std::byte> chunk_buf,
                                    std::uint64_t chunk_lo,
                                    const std::vector<Piece>& pieces) {
-  std::uint64_t total = 0;
-  for (const auto& p : pieces) total += p.len;
-  std::vector<std::byte> out(total);
+  std::vector<std::byte> out(piece_bytes(pieces));
   std::uint64_t pos = 0;
   for (const auto& p : pieces) {
     std::memcpy(out.data() + pos, chunk_buf.data() + (p.file_off - chunk_lo),
@@ -48,32 +65,17 @@ std::vector<std::byte> pack_pieces(std::span<const std::byte> chunk_buf,
 }  // namespace
 
 namespace {
-/// Bounded independent re-read of one extent after the collective read's
-/// PFS retry budget ran out. Each attempt is a fresh request (the PFS
-/// re-rolls its transient-fault decision per request), so a handful of
-/// attempts recovers any transiently failing extent; a persistently failing
-/// one rethrows the last fault::Error.
-des::Completion fallback_read(pfs::Pfs& fs, pfs::FileId file,
-                              std::uint64_t offset, std::span<std::byte> dst) {
+/// Bounded independent retries of one extent's read or write (`io`) after
+/// the collective's PFS retry budget ran out. Each attempt is a fresh
+/// request (the PFS re-rolls its transient-fault decision per request), so
+/// a handful of attempts recovers any transiently failing extent; a
+/// persistently failing one rethrows the last fault::Error.
+template <typename Io>
+des::Completion retry_independently(const Io& io) {
   constexpr int kFallbackAttempts = 4;
   for (int i = 0;; ++i) {
     try {
-      return fs.read_async(file, offset, dst);
-    } catch (const fault::Error&) {
-      if (i + 1 >= kFallbackAttempts) throw;
-    }
-  }
-}
-
-/// Write-side twin of fallback_read: bounded independent retries of one
-/// extent after the collective write's retry budget ran out.
-des::Completion fallback_write(pfs::Pfs& fs, pfs::FileId file,
-                               std::uint64_t offset,
-                               std::span<const std::byte> src) {
-  constexpr int kFallbackAttempts = 4;
-  for (int i = 0;; ++i) {
-    try {
-      return fs.write_async(file, offset, src);
+      return io();
     } catch (const fault::Error&) {
       if (i + 1 >= kFallbackAttempts) throw;
     }
@@ -121,7 +123,8 @@ des::Completion ChunkReader::read_extent(const pfs::ByteExtent& e) {
   } catch (const fault::Error&) {
     // Degrade to independent I/O for this extent instead of aborting the
     // whole collective read.
-    des::Completion c = fallback_read(*fs_, file_, e.offset, window(e));
+    des::Completion c = retry_independently(
+        [&] { return fs_->read_async(file_, e.offset, window(e)); });
     ++fallbacks_;
     if (chaos_ != nullptr) chaos_->note_io_fallback();
     return c;
@@ -208,10 +211,9 @@ CollectiveStats CollectiveIo::read_all(mpi::Comm& comm, pfs::FileId file,
     if (plan.n_iters > 0) issue_read(0);
   }
 
-  std::vector<std::byte> staging;
   for (int k = 0; k < plan.n_iters; ++k) {
     std::vector<mpi::Request> sends;
-    std::vector<std::vector<std::byte>> wires;
+    std::vector<std::vector<std::byte>> packed;
     if (my_agg >= 0) {
       auto& is = stats.iters[static_cast<std::size_t>(k)];
       const pfs::ByteExtent c = reader.chunk();
@@ -239,24 +241,31 @@ CollectiveStats CollectiveIo::read_all(mpi::Comm& comm, pfs::FileId file,
                 plan.domain_requests[static_cast<std::size_t>(r)].intersect(
                     c.offset, c.offset + c.length);
             if (pieces.empty()) continue;
-            wires.push_back(pack_pieces(chunk_buf, c.offset, pieces));
-            is.shuffle_bytes += wires.back().size();
+            // One run of the window goes out as is; only pieces split by
+            // holes are packed first.
+            std::span<const std::byte> wire =
+                window_run(chunk_buf, c.offset, pieces);
+            if (wire.empty()) {
+              packed.push_back(pack_pieces(chunk_buf, c.offset, pieces));
+              wire = packed.back();
+            }
+            is.shuffle_bytes += wire.size();
             TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
-                        "romio.shuffle_bytes", wires.back().size());
-            // Pack cost (sys time) at the aggregator.
-            comm.overhead(static_cast<double>(wires.back().size()) / pack_bw);
-            sends.push_back(comm.isend(r, read_tag(hints_), wires.back()));
+                        "romio.shuffle_bytes", wire.size());
+            // ROMIO's pack cost (sys time) at the aggregator.
+            comm.overhead(static_cast<double>(wire.size()) / pack_bw);
+            sends.push_back(comm.isend(r, read_tag(hints_), wire));
           }
         }
         // Receive own pieces below, then account the shuffle completion.
-        receive_for_iteration(comm, plan, mine, dst, k, staging, stats);
+        receive_for_iteration(comm, plan, mine, dst, k, stats);
         mpi::wait_all(sends);
       }
       is.shuffle_s = comm.wtime() - shuffle_begin;
       if (!hints_.pipelined && k + 1 < plan.n_iters) issue_read(k + 1);
     } else {
       TRACE_SPAN(comm.engine(), "romio", "shuffle");
-      receive_for_iteration(comm, plan, mine, dst, k, staging, stats);
+      receive_for_iteration(comm, plan, mine, dst, k, stats);
     }
   }
   stats.total_s = comm.wtime() - t_begin;
@@ -267,56 +276,27 @@ void CollectiveIo::receive_for_iteration(mpi::Comm& comm,
                                          const TwoPhasePlan& plan,
                                          const FlatRequest& mine,
                                          std::span<std::byte> dst, int k,
-                                         std::vector<std::byte>& staging,
                                          CollectiveStats& stats) {
   // Post every expected receive up front (ROMIO posts all irecvs then
-  // waits), then scatter each aggregator's payload into the user buffer.
-  struct Incoming {
-    std::vector<Piece> pieces;
-    std::uint64_t total = 0;
-    std::uint64_t staging_off = 0;
-    mpi::Request req;
-  };
-  std::vector<Incoming> incoming;
-  std::uint64_t staging_total = 0;
+  // waits). This rank's pieces of one chunk are one run of its buffer, so
+  // each aggregator's payload lands there in place.
+  std::vector<std::pair<mpi::Request, std::uint64_t>> incoming;
   for (int a = 0; a < plan.aggregator_count(); ++a) {
     const pfs::ByteExtent c = plan.chunk(a, k);
     if (c.length == 0) continue;
-    auto pieces = mine.intersect(c.offset, c.offset + c.length);
+    const auto pieces = mine.intersect(c.offset, c.offset + c.length);
     if (pieces.empty()) continue;
-    Incoming in;
-    in.pieces = std::move(pieces);
-    for (const auto& p : in.pieces) in.total += p.len;
-    in.staging_off = staging_total;
-    staging_total += in.total;
-    incoming.push_back(std::move(in));
+    const auto run = dst.subspan(pieces.front().buf_off, piece_bytes(pieces));
+    const int agg = plan.aggregators[static_cast<std::size_t>(a)];
+    incoming.emplace_back(comm.irecv(agg, read_tag(hints_), run), run.size());
   }
-  if (incoming.empty()) return;
-  staging.resize(staging_total);
-  std::size_t idx = 0;
-  for (int a = 0; a < plan.aggregator_count(); ++a) {
-    const pfs::ByteExtent c = plan.chunk(a, k);
-    if (c.length == 0) continue;
-    if (idx >= incoming.size()) break;
-    // Incoming entries were appended in aggregator order; match them back.
-    Incoming& in = incoming[idx];
-    if (mine.bytes_in(c.offset, c.offset + c.length) == 0) continue;
-    in.req = comm.irecv(
-        plan.aggregators[static_cast<std::size_t>(a)], read_tag(hints_),
-        std::span<std::byte>(staging).subspan(in.staging_off, in.total));
-    ++idx;
-  }
+  // ROMIO's unpack cost (sys time) at the receiver.
   const double unpack_bw = comm.runtime().config().memcpy_bw;
-  for (auto& in : incoming) {
-    in.req.wait();
-    COLCOM_ENSURE(in.req.info().bytes == in.total);
-    std::uint64_t pos = in.staging_off;
-    for (const auto& p : in.pieces) {
-      std::memcpy(dst.data() + p.buf_off, staging.data() + pos, p.len);
-      pos += p.len;
-    }
-    comm.overhead(static_cast<double>(in.total) / unpack_bw);
-    stats.bytes_moved += in.total;
+  for (auto& [req, total] : incoming) {
+    req.wait();
+    COLCOM_ENSURE(req.info().bytes == total);
+    comm.overhead(static_cast<double>(total) / unpack_bw);
+    stats.bytes_moved += total;
   }
 }
 
@@ -330,37 +310,31 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
   TwoPhasePlan plan = build_plan(comm, mine, hints_);
   stats.plan_s = comm.wtime() - t_begin;
   const int my_agg = plan.aggregator_index(comm.rank());
+  if (my_agg >= 0) stats.iters.resize(static_cast<std::size_t>(plan.n_iters));
   auto& fs = comm.runtime().fs();
   const double pack_bw = comm.runtime().config().pack_bw;
 
   std::vector<std::byte> chunk_buf;
   std::vector<std::byte> staging;
   for (int k = 0; k < plan.n_iters; ++k) {
-    // Everyone ships its pieces of each aggregator's current chunk.
+    // Everyone ships its pieces of each aggregator's current chunk, straight
+    // out of `src`: they are one run of it.
     std::vector<mpi::Request> sends;
-    std::vector<std::vector<std::byte>> wires;
     for (int a = 0; a < plan.aggregator_count(); ++a) {
       const pfs::ByteExtent c = plan.chunk(a, k);
       if (c.length == 0) continue;
       const auto pieces = mine.intersect(c.offset, c.offset + c.length);
       if (pieces.empty()) continue;
-      std::uint64_t total = 0;
-      for (const auto& p : pieces) total += p.len;
-      std::vector<std::byte> wire(total);
-      std::uint64_t pos = 0;
-      for (const auto& p : pieces) {
-        std::memcpy(wire.data() + pos, src.data() + p.buf_off, p.len);
-        pos += p.len;
-      }
-      comm.overhead(static_cast<double>(total) / pack_bw);
-      wires.push_back(std::move(wire));
-      stats.bytes_moved += total;
+      const auto run = src.subspan(pieces.front().buf_off, piece_bytes(pieces));
+      // ROMIO's pack cost (sys time) at the sender.
+      comm.overhead(static_cast<double>(run.size()) / pack_bw);
+      stats.bytes_moved += run.size();
       sends.push_back(comm.isend(plan.aggregators[static_cast<std::size_t>(a)],
-                                 write_tag(hints_), wires.back()));
+                                 write_tag(hints_), run));
     }
 
     if (my_agg >= 0) {
-      auto& is = ensure_iter(stats, plan.n_iters, k);
+      auto& is = stats.iters[static_cast<std::size_t>(k)];
       const pfs::ByteExtent c = plan.chunk(my_agg, k);
       if (c.length > 0) {
         TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
@@ -369,19 +343,11 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
         {
           TRACE_SPAN(comm.engine(), "romio", "shuffle");
           chunk_buf.resize(c.length);
-          // Collect pieces from every contributing rank (deterministic
-          // order); track coverage to decide whether a pre-read is needed.
-          std::uint64_t covered = 0;
-          std::vector<std::pair<const FlatRequest*, int>> contributors;
-          for (int r = 0; r < comm.size(); ++r) {
-            const auto& req = plan.domain_requests[static_cast<std::size_t>(r)];
-            const auto pieces = req.intersect(c.offset, c.offset + c.length);
-            if (pieces.empty()) continue;
-            for (const auto& p : pieces) covered += p.len;
-            contributors.emplace_back(&req, r);
-          }
-          const bool holes = covered < c.length;
-          if (holes) {
+          // A byte no writer covers needs a pre-read. Writers may overlap,
+          // so coverage is the union of their pieces.
+          const auto covered =
+              chunk_read_extents(plan.domain_requests, c, /*sieve_gap=*/0);
+          if (pfs::total_bytes(covered) < c.length) {
             // Read-modify-write (ROMIO's data sieving on the write path).
             const double t0 = comm.wtime();
             {
@@ -389,7 +355,9 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
               try {
                 fs.read(file, c.offset, chunk_buf);
               } catch (const fault::Error&) {
-                fallback_read(fs, file, c.offset, chunk_buf).wait();
+                retry_independently([&] {
+                  return fs.read_async(file, c.offset, chunk_buf);
+                }).wait();
                 ++stats.io_fallbacks;
                 if (auto* chaos = comm.runtime().chaos(); chaos != nullptr) {
                   chaos->note_io_fallback();
@@ -399,18 +367,31 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
             is.read_s += comm.wtime() - t0;
             is.read_bytes += c.length;
           }
-          for (const auto& [req, r] : contributors) {
-            const auto pieces = req->intersect(c.offset, c.offset + c.length);
-            std::uint64_t total = 0;
-            for (const auto& p : pieces) total += p.len;
-            staging.resize(total);
-            const auto info = comm.recv(r, write_tag(hints_), staging);
+          // In rank order, so where writers overlap the later rank wins. A
+          // contributor's one run lands in the chunk in place; only pieces
+          // split by holes go through staging.
+          for (int r = 0; r < comm.size(); ++r) {
+            const auto pieces =
+                plan.domain_requests[static_cast<std::size_t>(r)].intersect(
+                    c.offset, c.offset + c.length);
+            if (pieces.empty()) continue;
+            const std::uint64_t total = piece_bytes(pieces);
+            std::span<std::byte> into =
+                window_run(std::span<std::byte>(chunk_buf), c.offset, pieces);
+            const bool direct = !into.empty();
+            if (!direct) {
+              staging.resize(total);
+              into = staging;
+            }
+            const auto info = comm.recv(r, write_tag(hints_), into);
             COLCOM_ENSURE(info.bytes == total);
-            std::uint64_t pos = 0;
-            for (const auto& p : pieces) {
-              std::memcpy(chunk_buf.data() + (p.file_off - c.offset),
-                          staging.data() + pos, p.len);
-              pos += p.len;
+            if (!direct) {
+              std::uint64_t pos = 0;
+              for (const auto& p : pieces) {
+                std::memcpy(chunk_buf.data() + (p.file_off - c.offset),
+                            staging.data() + pos, p.len);
+                pos += p.len;
+              }
             }
             is.shuffle_bytes += total;
             TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
@@ -431,10 +412,11 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
             fault::Injector* chaos = comm.runtime().chaos();
             for (std::uint64_t pos = 0; pos < c.length; pos += stripe) {
               const std::uint64_t len = std::min(stripe, c.length - pos);
-              fallback_write(
-                  fs, file, c.offset + pos,
-                  std::span<const std::byte>(chunk_buf).subspan(pos, len))
-                  .wait();
+              const auto part =
+                  std::span<const std::byte>(chunk_buf).subspan(pos, len);
+              retry_independently([&] {
+                return fs.write_async(file, c.offset + pos, part);
+              }).wait();
               ++stats.io_fallbacks;
               if (chaos != nullptr) chaos->note_io_fallback();
             }
@@ -448,14 +430,6 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
   }
   stats.total_s = comm.wtime() - t_begin;
   return stats;
-}
-
-IterStat& CollectiveIo::ensure_iter(CollectiveStats& stats, int n_iters,
-                                    int k) {
-  if (stats.iters.empty()) {
-    stats.iters.resize(static_cast<std::size_t>(n_iters));
-  }
-  return stats.iters[static_cast<std::size_t>(k)];
 }
 
 }  // namespace colcom::romio

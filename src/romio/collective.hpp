@@ -6,6 +6,11 @@
 // (shuffle phase). With hints.pipelined the read of chunk k+1 overlaps the
 // shuffle of chunk k — the nonblocking two-phase the paper profiles in
 // Fig. 1 and contrasts with collective computing.
+//
+// Like ROMIO's, the shuffle makes no copy of its own: a rank's pieces of
+// one chunk are one run of its buffer, sent or received in place, and the
+// aggregator's chunk window is used in place too unless holes split those
+// pieces. The pack/unpack charges (pack_bw, memcpy_bw) model ROMIO's work.
 #pragma once
 
 #include <cstdint>
@@ -138,13 +143,10 @@ class CollectiveIo {
 
  private:
   /// Receiver side of one iteration: pull this rank's pieces of every
-  /// aggregator's chunk `k` and scatter them into `dst`.
+  /// aggregator's chunk `k` straight into their run of `dst`.
   void receive_for_iteration(mpi::Comm& comm, const TwoPhasePlan& plan,
                              const FlatRequest& mine, std::span<std::byte> dst,
-                             int k, std::vector<std::byte>& staging,
-                             CollectiveStats& stats);
-
-  static IterStat& ensure_iter(CollectiveStats& stats, int n_iters, int k);
+                             int k, CollectiveStats& stats);
 
   Hints hints_;
 };

@@ -400,17 +400,18 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
     return static_cast<std::size_t>(r) * naggs + a;
   };
   const std::size_t nbits = static_cast<std::size_t>(nprocs) * naggs;
-  std::vector<std::uint64_t> my_bits((nbits + 63) / 64, 0);
+  // This rank's bits; the allreduce below turns them in place into every
+  // rank's.
+  std::vector<std::uint64_t> senders((nbits + 63) / 64, 0);
   std::vector<std::vector<std::byte>> wires(naggs);
   for (std::size_t a = 0; a < naggs; ++a) {
     const FlatRequest clipped = clip(mine, plan.fd_begin[a], plan.fd_end[a]);
     if (clipped.empty()) continue;
     const std::size_t b = bit(comm.rank(), a);
-    my_bits[b / 64] |= std::uint64_t{1} << (b % 64);
+    senders[b / 64] |= std::uint64_t{1} << (b % 64);
     wires[a] = clipped.serialize();
   }
-  std::vector<std::uint64_t> senders(my_bits.size(), 0);
-  comm.allreduce(my_bits.data(), senders.data(), senders.size(),
+  comm.allreduce(senders.data(), senders.data(), senders.size(),
                  mpi::Prim::i64, mpi::Op::sum());
   std::vector<mpi::Request> sends;
   for (std::size_t a = 0; a < naggs; ++a) {

@@ -19,7 +19,7 @@ namespace colcom::stage {
 namespace {
 
 /// Bounded independent retry of one staged write after the PFS retry budget
-/// ran out — the write-path twin of romio's fallback_read. Each attempt is a
+/// ran out, as romio's collective write retries an extent. Each attempt is a
 /// fresh request (the PFS re-rolls its transient-fault decision per
 /// request); a persistently failing extent rethrows the last fault::Error.
 des::Completion fallback_write(pfs::Pfs& fs, pfs::FileId file,

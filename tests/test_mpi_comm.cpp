@@ -412,6 +412,68 @@ TEST_P(Collectives, AllreduceEveryRankGetsResult) {
   for (auto r : results) EXPECT_EQ(r, n);
 }
 
+TEST_P(Collectives, AllreduceInPlaceMatchesDistinctBuffers) {
+  // The plan-exchange bitmap shape: each rank sets only its own bits, so
+  // the i64 sum is their OR; a second block of values checks the sum.
+  const int n = GetParam();
+  constexpr std::size_t kWords = 40;
+  Runtime rt(small_machine(), n);
+  std::vector<int> bad(static_cast<std::size_t>(n), 0);
+  rt.run([&](Comm& c) {
+    const auto me = static_cast<std::uint64_t>(c.rank());
+    std::vector<std::int64_t> send(kWords);
+    for (std::size_t w = 0; w < kWords; ++w) {
+      send[w] = w < kWords / 2 ? static_cast<std::int64_t>(
+                                     std::uint64_t{1} << ((me + w) % 64))
+                               : static_cast<std::int64_t>(me * 1000 + w);
+    }
+    const std::vector<std::int64_t> sent = send;
+    std::vector<std::int64_t> out(kWords, -7);
+    c.allreduce(send.data(), out.data(), kWords, Prim::i64, Op::sum());
+    std::vector<std::int64_t> in_place = send;
+    c.allreduce(in_place.data(), in_place.data(), kWords, Prim::i64,
+                Op::sum());
+    int& b = bad[static_cast<std::size_t>(c.rank())];
+    if (send != sent) ++b;  // the send buffer of a distinct call is read-only
+    if (in_place != out) ++b;
+    for (std::size_t w = 0; w < kWords; ++w) {
+      std::uint64_t expect = 0;
+      for (std::uint64_t r = 0; r < static_cast<std::uint64_t>(n); ++r) {
+        expect += w < kWords / 2 ? std::uint64_t{1} << ((r + w) % 64)
+                                 : r * 1000 + w;
+      }
+      if (static_cast<std::uint64_t>(out[w]) != expect) ++b;
+    }
+  });
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(r)], 0) << "rank " << r;
+  }
+}
+
+TEST_P(Collectives, ReduceLeavesNonRootReceiveBuffersUntouched) {
+  const int n = GetParam();
+  for (int root : {0, n - 1}) {
+    Runtime rt(small_machine(), n);
+    std::vector<std::vector<std::int32_t>> recv(
+        static_cast<std::size_t>(n), std::vector<std::int32_t>(3, -99));
+    rt.run([&](Comm& c) {
+      const std::vector<std::int32_t> mine{c.rank(), 1, 2 * c.rank()};
+      c.reduce(mine.data(), recv[static_cast<std::size_t>(c.rank())].data(), 3,
+               Prim::i32, Op::sum(), root);
+    });
+    const std::int32_t s = n * (n - 1) / 2;
+    for (int r = 0; r < n; ++r) {
+      const auto& got = recv[static_cast<std::size_t>(r)];
+      if (r == root) {
+        EXPECT_EQ(got, (std::vector<std::int32_t>{s, n, 2 * s}));
+      } else {
+        EXPECT_EQ(got, (std::vector<std::int32_t>{-99, -99, -99}))
+            << "rank " << r << " of root " << root;
+      }
+    }
+  }
+}
+
 TEST_P(Collectives, GathervVariableSizes) {
   const int n = GetParam();
   Runtime rt(small_machine(), n);

@@ -210,6 +210,78 @@ TEST(OverlayStore, GrowsPastBase) {
   EXPECT_EQ(r[10], 9);
 }
 
+TEST(OverlayStore, WriteAcrossSeveralBlocksFillsTheGaps) {
+  OverlayStore s(std::make_unique<MemStore>(24));
+  const std::vector<std::uint8_t> a(4, 1);
+  s.write(0, as_cbytes(a));
+  s.write(8, as_cbytes(a));
+  s.write(12, as_cbytes(a));  // touches the block before it
+  const std::vector<std::uint8_t> b(16, 2);
+  s.write(2, as_cbytes(b));  // over parts of three blocks and two gaps
+  std::vector<std::uint8_t> r(24);
+  s.read(0, as_bytes(r));
+  EXPECT_EQ(r, (std::vector<std::uint8_t>{1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+                                          2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0}));
+}
+
+TEST(OverlayStore, RandomWritesMatchFlatReference) {
+  constexpr std::uint64_t kBase = 1000;
+  std::vector<std::uint8_t> ref(kBase);
+  for (std::uint64_t i = 0; i < kBase; ++i) {
+    ref[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  auto base = std::make_unique<MemStore>(kBase);
+  base->write(0, as_cbytes(ref));
+  OverlayStore s(std::move(base));
+  Prng rng(24);
+  std::vector<ByteExtent> done;
+  for (int step = 0; step < 600; ++step) {
+    ByteExtent w{rng.next_below(1600), 1 + rng.next_below(300)};
+    if (!done.empty()) {
+      const ByteExtent& p = done[rng.next_below(done.size())];
+      const ByteExtent& q = done[rng.next_below(done.size())];
+      switch (rng.next_below(5)) {
+        case 0:  // inside an earlier write
+          w.offset = p.offset + rng.next_below(p.length);
+          w.length = 1 + rng.next_below(p.end() - w.offset);
+          break;
+        case 1:  // touching an earlier write's end
+          w.offset = p.end();
+          break;
+        case 2:  // touching an earlier write's start
+          if (p.offset == 0) break;
+          w.length = 1 + rng.next_below(std::min<std::uint64_t>(p.offset, 300));
+          w.offset = p.offset - w.length;
+          break;
+        case 3:  // across several earlier writes and the gaps between them
+          w.offset = std::min(p.offset, q.offset) / 2;
+          w.length = std::max(p.end(), q.end()) + rng.next_below(64) - w.offset;
+          break;
+        default:  // anywhere, past the base too
+          break;
+      }
+    }
+    std::vector<std::uint8_t> bytes(w.length);
+    for (auto& v : bytes) v = static_cast<std::uint8_t>(rng.next_below(256));
+    s.write(w.offset, as_cbytes(bytes));
+    if (ref.size() < w.end()) ref.resize(w.end(), 0);
+    std::copy(bytes.begin(), bytes.end(),
+              ref.begin() + static_cast<std::ptrdiff_t>(w.offset));
+    done.push_back(w);
+
+    ASSERT_EQ(s.size(), ref.size());
+    const std::uint64_t lo = rng.next_below(ref.size());
+    std::vector<std::uint8_t> got(1 + rng.next_below(ref.size() - lo));
+    s.read(lo, as_bytes(got));
+    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                           ref.begin() + static_cast<std::ptrdiff_t>(lo)))
+        << "step " << step << ": read at " << lo << " of " << got.size();
+  }
+  std::vector<std::uint8_t> all(ref.size());
+  s.read(0, as_bytes(all));
+  EXPECT_EQ(all, ref);
+}
+
 TEST(Extent, CoalesceMergesAdjacentAndOverlapping) {
   std::vector<ByteExtent> e{{0, 10}, {10, 5}, {20, 5}, {22, 10}};
   coalesce_sorted(e);

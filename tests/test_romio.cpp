@@ -504,6 +504,101 @@ TEST(CollectiveWrite, RoundTripThroughCollectiveRead) {
   for (int b : bad) EXPECT_EQ(b, 0);
 }
 
+// Rank r's extents for the guard tests: one block of 1 to 150 bytes in
+// each of its 300-byte slots (slots interleave round-robin over ranks), and
+// in every third slot a second block touching the first. So a chunk holds
+// one run of a rank's pieces, several runs, or a run of touching extents.
+FlatRequest guard_layout(int rank, int nprocs) {
+  std::vector<pfs::ByteExtent> ext;
+  const auto r = static_cast<std::uint64_t>(rank);
+  for (std::uint64_t b = 0; b < 24; ++b) {
+    const std::uint64_t slot =
+        (b * static_cast<std::uint64_t>(nprocs) + r) * 300;
+    const std::uint64_t len = 1 + (b * 53 + r) % 150;
+    ext.push_back({slot, len});
+    if (b % 3 == 0) ext.push_back({slot + len, 150});
+  }
+  return FlatRequest(std::move(ext));
+}
+
+constexpr std::size_t kGuard = 64;
+constexpr std::byte kSentinel{0xa5};
+
+TEST(CollectiveRead, ReceivesLandInsideDstOnly) {
+  constexpr int kProcs = 6;
+  mpi::Runtime rt(small_machine(), kProcs);
+  auto file = make_truth_file(rt.fs(), 1 << 20);
+  std::vector<int> bad(kProcs, 0);
+  rt.run([&](mpi::Comm& c) {
+    const FlatRequest mine = guard_layout(c.rank(), kProcs);
+    // dst is carved from a larger buffer with sentinels on both sides.
+    std::vector<std::byte> whole(kGuard + mine.total_bytes() + kGuard,
+                                 kSentinel);
+    const auto dst = std::span<std::byte>(whole).subspan(kGuard,
+                                                         mine.total_bytes());
+    CollectiveIo cio{Hints{.cb_buffer_size = 4096, .cb_nodes = 3}};
+    cio.read_all(c, file, mine, dst);
+    int& b = bad[static_cast<std::size_t>(c.rank())];
+    for (std::size_t i = 0; i < kGuard; ++i) {
+      if (whole[i] != kSentinel || whole[whole.size() - 1 - i] != kSentinel) {
+        ++b;
+      }
+    }
+    std::uint64_t pos = 0;
+    for (const auto& e : mine.extents()) {
+      for (std::uint64_t i = 0; i < e.length; ++i, ++pos) {
+        if (std::to_integer<std::uint8_t>(dst[pos]) !=
+            truth_byte(e.offset + i)) {
+          ++b;
+        }
+      }
+    }
+  });
+  for (int r = 0; r < kProcs; ++r) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(r)], 0) << "rank " << r;
+  }
+}
+
+TEST(CollectiveWrite, SourceBufferIsLeftUntouched) {
+  constexpr int kProcs = 6;
+  constexpr std::uint64_t kFile = 1 << 18;
+  mpi::Runtime rt(small_machine(), kProcs);
+  auto file =
+      rt.fs().create("out", std::make_unique<pfs::MemStore>(kFile));
+  std::vector<int> bad(kProcs, 0);
+  rt.run([&](mpi::Comm& c) {
+    const FlatRequest mine = guard_layout(c.rank(), kProcs);
+    std::vector<std::byte> whole(kGuard + mine.total_bytes() + kGuard,
+                                 kSentinel);
+    for (std::size_t i = kGuard; i < kGuard + mine.total_bytes(); ++i) {
+      whole[i] = std::byte{static_cast<std::uint8_t>(i * 31 + 1)};
+    }
+    const std::vector<std::byte> before = whole;
+    CollectiveIo cio{Hints{.cb_buffer_size = 4096, .cb_nodes = 3}};
+    cio.write_all(c, file, mine,
+                  std::span<const std::byte>(whole).subspan(
+                      kGuard, mine.total_bytes()));
+    if (whole != before) ++bad[static_cast<std::size_t>(c.rank())];
+  });
+  for (int r = 0; r < kProcs; ++r) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(r)], 0) << "rank " << r;
+  }
+  // Every rank's bytes reached the file.
+  std::vector<std::byte> got(kFile);
+  rt.fs().store(file).read(0, got);
+  for (int r = 0; r < kProcs; ++r) {
+    const FlatRequest mine = guard_layout(r, kProcs);
+    std::uint64_t pos = 0;
+    for (const auto& e : mine.extents()) {
+      for (std::uint64_t i = 0; i < e.length; ++i, ++pos) {
+        ASSERT_EQ(std::to_integer<std::uint8_t>(got[e.offset + i]),
+                  static_cast<std::uint8_t>((kGuard + pos) * 31 + 1))
+            << "rank " << r << " offset " << e.offset + i;
+      }
+    }
+  }
+}
+
 TEST(IndependentRead, MatchesGroundTruth) {
   mpi::Runtime rt(small_machine(), 4);
   auto file = make_truth_file(rt.fs(), 1 << 20);
@@ -661,6 +756,79 @@ TEST_P(CollectiveReadProperty, RandomWorkloads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, CollectiveReadProperty,
+                         ::testing::Range(0, 20));
+
+// The write-side sweep: random layouts put one run of a rank's pieces in a
+// chunk, several runs, or a run of touching extents; holes force the
+// read-modify-write pre-read; and ranks overlap, where the later rank's
+// bytes must win. The file must equal every rank's writes applied in rank
+// order over its original bytes.
+class CollectiveWriteProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(CollectiveWriteProperty, RandomWorkloads) {
+  Prng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 5);
+  const int nprocs = static_cast<int>(1 + rng.next_below(12));
+  constexpr std::uint64_t kFile = 1 << 18;
+  std::vector<std::byte> ref(kFile);
+  for (std::uint64_t i = 0; i < kFile; ++i) ref[i] = std::byte{truth_byte(i)};
+  auto store = std::make_unique<pfs::MemStore>(kFile);
+  store->write(0, ref);
+  mpi::Runtime rt(small_machine(), nprocs);
+  auto file = rt.fs().create("out", std::move(store));
+
+  std::vector<std::vector<pfs::ByteExtent>> all(
+      static_cast<std::size_t>(nprocs));
+  for (auto& ext : all) {
+    const std::uint64_t n = 1 + rng.next_below(30);
+    std::uint64_t pos = rng.next_below(16384);
+    for (std::uint64_t i = 0; i < n && pos + 2048 < kFile; ++i) {
+      const std::uint64_t len = 1 + rng.next_below(1500);
+      ext.push_back({pos, len});
+      // Touch the next extent, or leave a small or a large hole.
+      switch (rng.next_below(3)) {
+        case 0: pos += len; break;
+        case 1: pos += len + 1 + rng.next_below(64); break;
+        default: pos += len + 1 + rng.next_below(8192); break;
+      }
+    }
+  }
+  const auto value = [](int rank, std::uint64_t buf_pos) {
+    return std::byte{static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(rank) * 71 + buf_pos * 13 + 200)};
+  };
+  Hints h;
+  h.cb_buffer_size = 1u << (9 + rng.next_below(8));  // 512 B .. 64 KB
+  h.cb_nodes = static_cast<int>(1 + rng.next_below(
+                   static_cast<std::uint64_t>(nprocs)));
+
+  rt.run([&](mpi::Comm& c) {
+    const FlatRequest mine(all[static_cast<std::size_t>(c.rank())]);
+    std::vector<std::byte> src(mine.total_bytes());
+    for (std::uint64_t i = 0; i < src.size(); ++i) src[i] = value(c.rank(), i);
+    CollectiveIo cio(h);
+    const auto st = cio.write_all(c, file, mine, src);
+    EXPECT_EQ(st.bytes_moved, mine.total_bytes());
+  });
+  EXPECT_GT(rt.fs().stats().read_bytes, 0u) << "no chunk was pre-read";
+
+  for (int r = 0; r < nprocs; ++r) {
+    std::uint64_t pos = 0;
+    for (const auto& e : all[static_cast<std::size_t>(r)]) {
+      for (std::uint64_t i = 0; i < e.length; ++i) {
+        ref[e.offset + i] = value(r, pos++);
+      }
+    }
+  }
+  std::vector<std::byte> got(kFile);
+  rt.fs().store(file).read(0, got);
+  const auto diff = std::mismatch(got.begin(), got.end(), ref.begin());
+  EXPECT_TRUE(diff.first == got.end())
+      << nprocs << " ranks, cb " << h.cb_buffer_size << ", cb_nodes "
+      << h.cb_nodes << ": first wrong byte at offset "
+      << (diff.first - got.begin());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomWorkloads, CollectiveWriteProperty,
                          ::testing::Range(0, 20));
 
 }  // namespace
