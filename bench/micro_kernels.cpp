@@ -1,8 +1,8 @@
 // Micro-kernels (google-benchmark): host-side costs of the hot runtime
 // paths — datatype flattening, pack/unpack, logical-map construction,
-// accumulator folding, extent intersection, custody checksums. These
-// complement the virtual-time figure benches: they show the reproduction's
-// own constant factors.
+// accumulator folding, extent intersection, custody checksums, a simulated
+// rank's fiber lifecycle. These complement the virtual-time figure benches:
+// they show the reproduction's own constant factors.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -10,6 +10,7 @@
 
 #include "core/logical.hpp"
 #include "core/reduce.hpp"
+#include "des/engine.hpp"
 #include "integrity/integrity.hpp"
 #include "mpi/datatype.hpp"
 #include "romio/request.hpp"
@@ -132,6 +133,24 @@ void BM_Checksum(benchmark::State& state) {
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_Checksum)->Arg(4 << 10)->Arg(512 << 10);
+
+// One job's worth of simulated ranks: an engine spawns N actors on
+// default-size stacks, each advances once, the engine runs and is destroyed.
+// Items are fibers, so the rate is the host cost of one rank's fiber from
+// creation to teardown (256 is a small job, 2048 perfbench's many_ranks).
+void BM_FiberLifecycle(benchmark::State& state) {
+  const auto fibers = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    des::Engine eng;
+    for (int i = 0; i < fibers; ++i) {
+      eng.spawn("rank", 0, [&eng] { eng.advance(1e-6); });
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.now());
+  }
+  state.SetItemsProcessed(state.iterations() * fibers);
+}
+BENCHMARK(BM_FiberLifecycle)->Arg(256)->Arg(2048);
 
 }  // namespace
 

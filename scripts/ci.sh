@@ -3,7 +3,9 @@
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the six
 # extension benches and the Fig. 10 bench, shape-checked and diffed against
-# their BENCH_*.json trajectories (scripts/bench_diff.py), then an optional
+# their BENCH_*.json trajectories (scripts/bench_diff.py) -> a one-second
+# perfbench smoke per workload (every job correct, and many_ranks' peak RSS
+# under a memory gate that heap-backed fiber stacks fail), then an optional
 # -Werror + ASan/UBSan pass over the des/mpi/trace/prof tests, the
 # core/stage/stream data-plane suites, the svc service suite and the
 # romio/pfs suites (in-place shuffle spans, in-place overlay edits), a budgeted
@@ -228,6 +230,11 @@ bench_smoke fig10_scalability BENCH_fig10.json
 # The benchmark harness checks every job against serial_reduce over the
 # generator and checks virtual-time repeatability, so a byte-synthesis or
 # runtime change that alters results fails here. One short run per workload.
+# many_ranks also gates host memory. Its 2048 ranks are fibers whose stacks
+# come from guard-paged mappings, so each rank costs only the stack pages it
+# touches, and the peak reads ~170 MB. Stacks carved from the malloc heap
+# land on pages earlier jobs left resident and read 473–650 MB here, rising
+# with the number of passes that fit, so a peak above 350 MB fails.
 for w in paper_scale many_ranks tenants; do
   step "perfbench smoke ($w)"
   PERF_LAST="$(timeout "$BUDGET" python3 perfbench/run.py --workload "$w" \
@@ -236,6 +243,15 @@ for w in paper_scale many_ranks tenants; do
   if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
     echo "perfbench smoke failed ($w)" >&2
     exit 1
+  fi
+  if [[ $w == many_ranks ]]; then
+    python3 -c 'import json, sys
+peak = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]
+print(f"many_ranks peak_rss_mb {peak:.1f} MB (gate: at most 350 MB)")
+sys.exit(peak > 350)' "$PERF_LAST" || {
+      echo "perfbench memory gate failed (many_ranks)" >&2
+      exit 1
+    }
   fi
 done
 

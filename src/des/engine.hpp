@@ -40,7 +40,7 @@ class Engine {
   /// Creates an actor bound to a (simulated) node. The body starts running
   /// when run() dispatches it. `stack_bytes` bounds the fiber stack.
   ActorHandle spawn(std::string name, int node, std::function<void()> body,
-                    std::size_t stack_bytes = 256 * 1024);
+                    std::size_t stack_bytes = kFiberStackBytes);
 
   /// Schedules a plain callback at absolute virtual time `t` (>= now()).
   void schedule(SimTime t, std::function<void()> fn);

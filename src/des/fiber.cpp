@@ -6,7 +6,15 @@
 #include "des/fiber.hpp"
 
 #include <setjmp.h>
+#include <sys/mman.h>
 #include <ucontext.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -25,6 +33,7 @@
 #endif
 
 #if defined(COLCOM_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -41,10 +50,79 @@ inline void asan_finish_switch(void* save, const void** bottom,
                                std::size_t* size) {
   __sanitizer_finish_switch_fiber(save, bottom, size);
 }
+// A fiber abandoned mid-frame (its engine destroyed while it was suspended)
+// leaves its frames' redzone poison on its stack; a stack is cleared before
+// it runs a fiber.
+inline void asan_unpoison(std::byte* stack, std::size_t size) {
+  __asan_unpoison_memory_region(stack, size);
+}
 #else
 inline void asan_start_switch(void**, const void*, std::size_t) {}
 inline void asan_finish_switch(void*, const void**, std::size_t*) {}
+inline void asan_unpoison(std::byte*, std::size_t) {}
 #endif
+
+// Stacks of one usable size. `free` is LIFO, so the most recently freed
+// stack, whose touched pages are still resident, runs the next fiber. It
+// never shrinks: its length is bounded by the peak number of live fibers of
+// this size, and each pooled stack holds only the pages its fibers touched.
+// Its capacity always covers every stack ever mapped, so returning a stack
+// never allocates.
+struct SizeClass {
+  std::vector<std::byte*> free;
+  std::size_t mapped = 0;
+};
+
+// Keyed by usable size. Never destroyed, so a fiber destroyed during static
+// destruction still finds it; the host reclaims the mappings at exit. Like
+// the engine, it is used from one thread only.
+std::map<std::size_t, SizeClass>& size_classes() {
+  static auto* classes = new std::map<std::size_t, SizeClass>();
+  return *classes;
+}
+
+std::string stack_failure(const char* call, int err) {
+  return std::string(call) + " of a fiber stack failed (" +
+         std::strerror(err) +
+         "); each live fiber holds two mappings, its guard page and its "
+         "stack, so vm.max_map_count bounds the number of live fibers";
+}
+
+// Maps one PROT_NONE guard page with `bytes` of stack above it; returns the
+// lowest usable address.
+std::byte* map_stack(std::size_t bytes) {
+  const auto guard = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* base = mmap(nullptr, guard + bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                    -1, 0);
+  COLCOM_EXPECT_MSG(base != MAP_FAILED, stack_failure("mmap", errno));
+  const bool guarded = mprotect(base, guard, PROT_NONE) == 0;
+  const int err = errno;
+  if (!guarded) munmap(base, guard + bytes);
+  COLCOM_EXPECT_MSG(guarded, stack_failure("mprotect", err));
+  return static_cast<std::byte*>(base) + guard;
+}
+
+std::byte* take_stack(std::size_t bytes) {
+  SizeClass& cls = size_classes()[bytes];
+  std::byte* stack = nullptr;
+  if (cls.free.empty()) {
+    if (cls.free.capacity() <= cls.mapped) {
+      cls.free.reserve(2 * (cls.mapped + 1));
+    }
+    stack = map_stack(bytes);
+    ++cls.mapped;
+  } else {
+    stack = cls.free.back();
+    cls.free.pop_back();
+  }
+  asan_unpoison(stack, bytes);
+  return stack;
+}
+
+void give_stack(std::byte* stack, std::size_t bytes) {
+  size_classes().find(bytes)->second.free.push_back(stack);
+}
 
 }  // namespace
 
@@ -59,14 +137,13 @@ Fiber* g_trampoline_target = nullptr;
 }
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body)
-    : stack_(std::make_unique_for_overwrite<std::byte[]>(stack_bytes)),
-      stack_bytes_(stack_bytes),
-      body_(std::move(body)) {
+    : stack_bytes_(stack_bytes), body_(std::move(body)) {
   COLCOM_EXPECT(stack_bytes >= 16 * 1024);
   COLCOM_EXPECT(body_ != nullptr);
+  stack_ = take_stack(stack_bytes_);
 }
 
-Fiber::~Fiber() = default;
+Fiber::~Fiber() { give_stack(stack_, stack_bytes_); }
 
 void Fiber::trampoline() {
   Fiber* self = g_trampoline_target;
@@ -94,13 +171,13 @@ void Fiber::resume() {
   COLCOM_EXPECT_MSG(!finished_, "cannot resume a finished fiber");
   current_ = this;
   void* fake = nullptr;
-  asan_start_switch(&fake, stack_.get(), stack_bytes_);
+  asan_start_switch(&fake, stack_, stack_bytes_);
   if (_setjmp(return_ctx_) == 0) {
     if (started_) _longjmp(ctx_, 1);
     started_ = true;
     ucontext_t entry;
     getcontext(&entry);
-    entry.uc_stack.ss_sp = stack_.get();
+    entry.uc_stack.ss_sp = stack_;
     entry.uc_stack.ss_size = stack_bytes_;
     entry.uc_link = nullptr;  // trampoline never returns
     makecontext(&entry, &Fiber::trampoline, 0);

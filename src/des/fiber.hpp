@@ -12,24 +12,38 @@
 // signal mask nor the floating-point environment (MXCSR, x87 control word)
 // is switched: all fibers share one floating-point environment, and nothing
 // in the simulator changes it.
+//
+// Each stack is an anonymous mapping of its own with one PROT_NONE guard page
+// below it, so an overflow faults at once instead of writing over
+// neighbouring memory, and the host commits only the stack pages a fiber
+// touches. A destroyed fiber's stack goes back to a free list of stacks of
+// its size and is reused by the next fiber of that size, so once the list is
+// warm creating a fiber makes no system call.
 #pragma once
 
 #include <csetjmp>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 
 namespace colcom::des {
+
+/// Usable stack size of a fiber unless its creator asks for another (every
+/// simulated rank gets this much; see mpi::MachineConfig::fiber_stack_bytes).
+inline constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
 /// A single cooperative fiber. Not copyable/movable: the saved contexts
 /// capture the object address.
 class Fiber {
  public:
-  /// `body` runs on the fiber's own stack when resume() is first called.
-  /// The stack is allocated uninitialized, so pages the fiber never touches
-  /// are never written or committed.
+  /// `body` runs on the fiber's own stack of `stack_bytes` when resume() is
+  /// first called. The stack is a guard-paged mapping, fresh or reused from
+  /// a destroyed fiber of the same size; the host commits only the pages
+  /// fibers on it touch. Throws ContractViolation when the host refuses the
+  /// mapping.
   Fiber(std::size_t stack_bytes, std::function<void()> body);
+  /// Returns the stack to the free list; a suspended body is abandoned, not
+  /// unwound.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -56,8 +70,8 @@ class Fiber {
 
   std::jmp_buf ctx_{};         // the fiber, saved at its last yield()
   std::jmp_buf return_ctx_{};  // the scheduler, saved at the last resume()
-  std::unique_ptr<std::byte[]> stack_;
   std::size_t stack_bytes_;
+  std::byte* stack_ = nullptr;  // lowest usable address, above the guard
   std::function<void()> body_;
   bool started_ = false;
   bool finished_ = false;

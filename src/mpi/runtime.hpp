@@ -27,7 +27,7 @@ struct MachineConfig {
   /// only after the receive is matched) — MPICH-like behaviour that couples
   /// senders to receiver progress, a first-order effect in shuffle phases.
   std::uint64_t eager_threshold = 8ull << 10;
-  std::size_t fiber_stack_bytes = 256 * 1024;
+  std::size_t fiber_stack_bytes = des::kFiberStackBytes;
   /// Seeded fault injection (defaults to none). When chaos.any(), the
   /// Runtime expands it into a ChaosSchedule for this machine shape and
   /// installs an Injector across net/mpi/romio/core.

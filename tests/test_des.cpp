@@ -1,9 +1,12 @@
 // Unit tests for the discrete-event engine: fibers, clock, resources,
 // completions, channels, barriers, determinism.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -104,6 +107,53 @@ TEST(Fiber, ManyFibersKeepLocalsAcrossSwitches) {
   }
 }
 
+// Recurses `depth` levels through frames of 1 KiB of locals the compiler
+// must keep (volatile), and not as a tail call (each frame is read again
+// after the call returns), so every level takes more stack.
+int recurse(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return frame[0];
+  return recurse(depth - 1) + frame[0];
+}
+
+TEST(Fiber, StackOverflowHitsGuardPage) {
+  // A 64 KiB stack holds fewer than 64 such frames; recurse 128 deep. The
+  // guard page below the stack turns the overflow into an immediate fault,
+  // where it would otherwise write silently over whatever memory lies below.
+  volatile int depth = 128;
+  EXPECT_DEATH(
+      {
+        Fiber f(64 * 1024, [&depth] { recurse(depth); });
+        f.resume();
+      },
+      "");
+}
+
+// Address of a local in a fiber of `stack_bytes`, run to completion and
+// destroyed: every fiber that runs on the same stack puts it at one address.
+std::uintptr_t local_address(std::size_t stack_bytes) {
+  std::uintptr_t at = 0;
+  Fiber f(stack_bytes, [&at] {
+    volatile int local = 0;
+    at = reinterpret_cast<std::uintptr_t>(&local);
+  });
+  f.resume();
+  return at;
+}
+
+TEST(Fiber, DestroyedStacksAreReused) {
+  const std::uintptr_t first = local_address(64 * 1024);
+  EXPECT_EQ(local_address(64 * 1024), first);
+  // A fiber of another size runs on a stack of its own: its local lies
+  // outside the freed 64 KiB stack, which stays free for the next fiber of
+  // its size.
+  const std::uintptr_t other = local_address(32 * 1024);
+  EXPECT_TRUE(other > first || other < first - 60 * 1024)
+      << std::hex << other << " inside the stack of " << first;
+  EXPECT_EQ(local_address(64 * 1024), first);
+}
+
 // Parks the calling actor `depth` frames deep. Frames hold only trivially
 // destructible locals: a parked fiber's frames are freed, never unwound.
 int park_deep(Engine& e, int depth, bool forever) {
@@ -120,19 +170,50 @@ int park_deep(Engine& e, int depth, bool forever) {
   return below + local;
 }
 
+// The page holding the calling fiber's first frames: its stack's top page,
+// the same for every fiber that runs on that stack.
+std::uintptr_t top_page() {
+  volatile char probe = 0;
+  return reinterpret_cast<std::uintptr_t>(&probe) /
+         static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Runs `fibers` fresh actors, actor i through park_deep `base + i` frames
+// deep, to completion; returns their stacks' top pages, sorted.
+std::vector<std::uintptr_t> run_deep(int fibers, int base) {
+  Engine e;
+  std::vector<std::uintptr_t> tops;
+  int done = 0;
+  for (int i = 0; i < fibers; ++i) {
+    e.spawn("fresh" + std::to_string(i), 0, [&e, &tops, &done, base, i] {
+      tops.push_back(top_page());
+      park_deep(e, base + i, false);
+      ++done;
+    });
+  }
+  e.run();
+  EXPECT_EQ(done, fibers);
+  std::sort(tops.begin(), tops.end());
+  return tops;
+}
+
 TEST(Engine, ThrowWhileOthersSuspendedLeavesThemDestructible) {
   struct Guard {
     int* unwound;
     ~Guard() { ++*unwound; }
   };
   int unwound = 0;
+  std::vector<std::uintptr_t> tops;
   {
     Engine e;
     for (int i = 0; i < 8; ++i) {
-      e.spawn("deep" + std::to_string(i), 0,
-              [&e, i] { park_deep(e, 10 + i, i % 2 == 0); });
+      e.spawn("deep" + std::to_string(i), 0, [&e, &tops, i] {
+        tops.push_back(top_page());
+        park_deep(e, 10 + i, i % 2 == 0);
+      });
     }
-    e.spawn("bad", 0, [&e, &unwound] {
+    e.spawn("bad", 0, [&e, &tops, &unwound] {
+      tops.push_back(top_page());
       const Guard g{&unwound};
       e.advance(1.0);
       throw std::runtime_error("actor failed");
@@ -142,15 +223,10 @@ TEST(Engine, ThrowWhileOthersSuspendedLeavesThemDestructible) {
     EXPECT_DOUBLE_EQ(e.now(), 1.0);
     for (int i = 0; i < 8; ++i) EXPECT_FALSE(e.actor_finished(i));
   }  // frees the eight suspended stacks without resuming them
-  // Fresh fibers still switch normally afterwards.
-  Engine again;
-  bool ran = false;
-  again.spawn("after", 0, [&] {
-    again.advance(0.5);
-    ran = true;
-  });
-  again.run();
-  EXPECT_TRUE(ran);
+  // Fresh fibers run to completion on the nine freed stacks, through frames
+  // where the abandoned ones were parked.
+  std::sort(tops.begin(), tops.end());
+  EXPECT_EQ(run_deep(9, 10), tops);
 }
 
 TEST(Engine, DestroyedWithSuspendedFibers) {
@@ -158,17 +234,23 @@ TEST(Engine, DestroyedWithSuspendedFibers) {
   // from the scheduler; the engine is then destroyed with actors parked at
   // arbitrary depths, blocked or mid-advance.
   struct Abandon {};
+  std::vector<std::uintptr_t> tops;
   {
     Engine e;
     for (int i = 0; i < 16; ++i) {
-      e.spawn("a" + std::to_string(i), i % 4,
-              [&e, i] { park_deep(e, i, i % 3 == 0); });
+      e.spawn("a" + std::to_string(i), i % 4, [&e, &tops, i] {
+        tops.push_back(top_page());
+        park_deep(e, i, i % 3 == 0);
+      });
     }
     e.schedule(2.0, [] { throw Abandon{}; });
     EXPECT_THROW(e.run(), Abandon);
     EXPECT_FALSE(e.in_actor());
   }
   EXPECT_EQ(Fiber::current(), nullptr);
+  // The sixteen freed stacks run fresh fibers to completion.
+  std::sort(tops.begin(), tops.end());
+  EXPECT_EQ(run_deep(16, 0), tops);
 }
 
 TEST(Engine, AdvanceMovesVirtualClock) {
