@@ -1,8 +1,9 @@
 // Micro-kernels (google-benchmark): host-side costs of the hot runtime
 // paths — datatype flattening, pack/unpack, logical-map construction,
 // accumulator folding, extent intersection, custody checksums, a simulated
-// rank's fiber lifecycle. These complement the virtual-time figure benches:
-// they show the reproduction's own constant factors.
+// rank's fiber lifecycle, an eager message. These complement the
+// virtual-time figure benches: they show the reproduction's own constant
+// factors.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -12,7 +13,9 @@
 #include "core/reduce.hpp"
 #include "des/engine.hpp"
 #include "integrity/integrity.hpp"
+#include "mpi/comm.hpp"
 #include "mpi/datatype.hpp"
+#include "mpi/runtime.hpp"
 #include "romio/request.hpp"
 
 using namespace colcom;
@@ -151,6 +154,38 @@ void BM_FiberLifecycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fibers);
 }
 BENCHMARK(BM_FiberLifecycle)->Arg(256)->Arg(2048);
+
+// Eager messages between two ranks on two nodes: rank 0 sends N 4 KiB
+// messages, all from one buffer, into receives rank 1 posted up front, so
+// every message matches on arrival. Items are messages: the rate is the
+// host cost of one eager message from isend to hand-off (its payload
+// handling, the network hop and the match), plus a share of one 2-rank
+// runtime's set-up.
+void BM_EagerMessages(benchmark::State& state) {
+  constexpr std::size_t kBytes = 4 << 10;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  mpi::MachineConfig cfg;
+  cfg.cores_per_node = 1;
+  std::vector<std::byte> out(kBytes, std::byte{7});
+  std::vector<std::byte> in(n * kBytes);
+  for (auto _ : state) {
+    mpi::Runtime rt(cfg, 2);
+    rt.run([&](mpi::Comm& c) {
+      std::vector<mpi::Request> reqs;
+      reqs.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        reqs.push_back(c.rank() == 0
+                           ? c.isend(1, 0, out)
+                           : c.irecv(0, 0, std::span(in).subspan(i * kBytes,
+                                                                 kBytes)));
+      }
+      mpi::wait_all(reqs);
+    });
+    benchmark::DoNotOptimize(in.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_EagerMessages)->Arg(1024);
 
 }  // namespace
 

@@ -650,9 +650,10 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // can run process_chunk twice (its own chunk plus an absorbed dead domain
   // during crash recovery); reusing `batch` for the second call would
   // mutate the first call's pending send buffers (CHK-BUF), so each shuffle
-  // parks its payload here until the iteration's wait_all.
-  std::vector<mpi::Request> sends;
+  // parks its payload here until the iteration's wait_all. A pending send
+  // lends its buffer, so `shipped` is declared first and outlives `sends`.
   std::vector<std::vector<PartialRecord>> shipped;
+  std::vector<mpi::Request> sends;
   auto settle_sends = [&] {
     mpi::wait_all(sends);
     sends.clear();

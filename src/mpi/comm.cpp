@@ -22,11 +22,19 @@ struct Request::State {
   des::Completion completion;
   const PostedRecv* recv = nullptr;        // for irecv info()
   std::shared_ptr<PostedRecv> recv_own;    // keeps the posted recv alive
-  std::shared_ptr<Msg> sent_msg;           // chaos sends: failure flag lives here
+  std::shared_ptr<Msg> sent_msg;           // sends: the lend, chaos failure flag
   check::PendingOp check_op;               // deadlock registry entry
   std::span<const std::byte> check_buf;    // CHK-BUF: app buffer at post time
   std::uint64_t check_sum = 0;
   bool check_armed = false;
+
+  // A send that loses its last handle before it completes (an unwinding
+  // exception, a crash point's RankStop, a dropped request) copies its
+  // payload out of the sender's buffer now, so its message still delivers
+  // the bytes posted. Hence every send buffer must outlive its Request.
+  ~State() {
+    if (sent_msg != nullptr) sent_msg->own();
+  }
 };
 
 void Request::wait() {
@@ -128,6 +136,7 @@ std::shared_ptr<PostedRecv> World::match_arrival(int dst, PairChannel& ch,
   }
   if (wild != mb.any_source.end()) return take(mb.any_source, wild);
   msg->stamp = mb.next_stamp++;
+  msg->queue();
   ch.unexpected.push_back(std::move(msg));
   return nullptr;
 }
@@ -290,6 +299,7 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
   if (msg->failed) {
     // Poisoned delivery: the sender exhausted its retransmit budget. Both
     // endpoints complete and their wait() throws fault::Error.
+    msg->release();
     pr->failed = true;
     pr->matched = true;
     pr->info = MsgInfo{msg->src, msg->tag, 0};
@@ -300,7 +310,7 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
     return;
   }
   auto finish = [&eng, dst](Msg& m, PostedRecv& r) {
-    COLCOM_EXPECT_MSG(m.payload.size() <= r.dst.size(),
+    COLCOM_EXPECT_MSG(r.sized != nullptr || m.payload.size() <= r.dst.size(),
                       "message longer than receive buffer");
     // CHK-SUM: the envelope is verified at the hand-off, before the receive
     // buffer is filled — eager and rendezvous deliveries funnel here.
@@ -308,11 +318,14 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
         ck != nullptr && m.check_id != 0) {
       ck->verify_payload(m.src, dst, m.tag, m.payload, m.check_sum);
     }
-    if (!m.payload.empty()) {
+    if (r.sized != nullptr) {
+      r.sized->assign(m.payload.begin(), m.payload.end());
+    } else if (!m.payload.empty()) {
       std::memcpy(r.dst.data(), m.payload.data(), m.payload.size());
     }
     r.matched = true;
     r.info = MsgInfo{m.src, m.tag, m.payload.size()};
+    m.release();
     // Land the sender's flow arrow on the receiving rank's track at the
     // moment the message is handed to the application.
     if (trace::Tracer* tr = trace::Tracer::current();
@@ -353,6 +366,7 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
           /*on_failed=*/
           [msg, pr] {
             msg->failed = true;
+            msg->release();
             pr->failed = true;
             pr->matched = true;
             pr->info = MsgInfo{msg->src, msg->tag, 0};
@@ -402,7 +416,6 @@ Request Comm::isend(int dst, int tag, std::span<const std::byte> data) {
   msg->src = rank_;
   msg->tag = tag;
   msg->seq = world_->chan(rank_, dst).next_send_seq++;
-  msg->payload.assign(data.begin(), data.end());
 
   const bool eager = data.size() <= world_->rt->config().eager_threshold;
   if (trace::Tracer* tr = trace::Tracer::current(); tr != nullptr) {
@@ -454,13 +467,19 @@ Request Comm::isend(int dst, int tag, std::span<const std::byte> data) {
     cs->fire();
     return req;
   }
+  // The message lends `data` until its bytes are handed to a receive (see
+  // Msg). A checker session copies at post instead: CHK-SUM then checks
+  // the bytes posted, and CHK-BUF names a sender that changes its buffer
+  // before wait().
+  msg->payload = data;
+  if (check::Checker::current() != nullptr) msg->own();
+  req.state_->sent_msg = msg;
   if (eager) {
     if (lossy_wire) {
       // Under chaos the eager send completes on the ack (the sender must
       // know whether its retransmit budget sufficed).
       auto cs = std::make_shared<des::CompletionSource>(engine());
       req.state_->completion = cs->completion();
-      req.state_->sent_msg = msg;
       world_->ship_with_retry(
           rank_, dst, data.size() + kMsgHeaderBytes, msg->seq, kSaltEager,
           /*on_delivered=*/[w, dst, msg] { w->deliver(dst, msg); },
@@ -486,7 +505,6 @@ Request Comm::isend(int dst, int tag, std::span<const std::byte> data) {
     msg->send_done = std::make_shared<des::CompletionSource>(engine());
     req.state_->completion = msg->send_done->completion();
     if (lossy_wire) {
-      req.state_->sent_msg = msg;
       world_->ship_with_retry(
           rank_, dst, kMsgHeaderBytes, msg->seq, kSaltRts,
           /*on_delivered=*/[w, dst, msg] { w->deliver(dst, msg); },
@@ -511,6 +529,11 @@ void Comm::send(int dst, int tag, std::span<const std::byte> data) {
 }
 
 Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
+  return post_recv(src, tag, dst, nullptr);
+}
+
+Request Comm::post_recv(int src, int tag, std::span<std::byte> dst,
+                        std::vector<std::byte>* sized) {
   COLCOM_EXPECT(src == kAnySource || (src >= 0 && src < size()));
   des::note_access(des::mailbox_key(rank_));
   Request req;
@@ -528,6 +551,7 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
   pr->src = src;
   pr->tag = tag;
   pr->dst = dst;
+  pr->sized = sized;
   pr->cs = std::make_unique<des::CompletionSource>(engine());
   req.state_->completion = pr->cs->completion();
   req.state_->recv = pr.get();
@@ -542,8 +566,17 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
 }
 
 MsgInfo Comm::recv(int src, int tag, std::span<std::byte> dst) {
+  return recv_into(src, tag, dst, nullptr);
+}
+
+MsgInfo Comm::recv(int src, int tag, std::vector<std::byte>& dst) {
+  return recv_into(src, tag, {}, &dst);
+}
+
+MsgInfo Comm::recv_into(int src, int tag, std::span<std::byte> dst,
+                        std::vector<std::byte>* sized) {
   TRACE_SPAN(engine(), "mpi", "recv");
-  Request r = irecv(src, tag, dst);
+  Request r = post_recv(src, tag, dst, sized);
   r.wait();
   const MsgInfo info = r.info();
   // Model the receive-side copy-out as sys time.
@@ -561,11 +594,20 @@ bool Comm::alive(int rank) const {
 }
 
 MsgInfo Comm::recv_ft(int src, int tag, std::span<std::byte> dst) {
+  return recv_ft_into(src, tag, dst, nullptr);
+}
+
+MsgInfo Comm::recv_ft(int src, int tag, std::vector<std::byte>& dst) {
+  return recv_ft_into(src, tag, {}, &dst);
+}
+
+MsgInfo Comm::recv_ft_into(int src, int tag, std::span<std::byte> dst,
+                           std::vector<std::byte>* sized) {
   COLCOM_EXPECT(src >= 0 && src < size());
   fault::Injector* fi = world_->rt->chaos();
-  if (fi == nullptr) return recv(src, tag, dst);
+  if (fi == nullptr) return recv_into(src, tag, dst, sized);
   TRACE_SPAN(engine(), "mpi", "recv_ft");
-  Request r = irecv(src, tag, dst);
+  Request r = post_recv(src, tag, dst, sized);
   std::shared_ptr<PostedRecv> pr = r.state_->recv_own;
   if (!pr->matched) {
     // Failure detector: poll the death registry on a timer while the

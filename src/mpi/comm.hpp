@@ -81,8 +81,20 @@ class Comm {
 
   // --- point-to-point, raw bytes ---
   void send(int dst, int tag, std::span<const std::byte> data);
+  /// Nonblocking send. `data` is lent to the message until the request
+  /// completes: the payload is copied once, into the matching receive,
+  /// straight from `data` (or into the message itself when an eager
+  /// arrival finds no receive posted). So `data` must stay unchanged until
+  /// the request completes, as MPI requires, and must outlive the Request:
+  /// a request destroyed before it completes copies the payload out of
+  /// `data` then.
   Request isend(int dst, int tag, std::span<const std::byte> data);
   MsgInfo recv(int src, int tag, std::span<std::byte> dst);
+  /// Sized receive: `dst` takes the message's length, whatever its size
+  /// before, for payloads whose length the receiver cannot know (offset
+  /// lists). Same messages and the same memcpy_bw charge as the span
+  /// overload; a std::vector<std::byte> lvalue binds here.
+  MsgInfo recv(int src, int tag, std::vector<std::byte>& dst);
   Request irecv(int src, int tag, std::span<std::byte> dst);
   /// Combined exchange — deadlock-free even when all ranks call it at once.
   void sendrecv(int dst, int send_tag, std::span<const std::byte> send_data,
@@ -103,6 +115,8 @@ class Comm {
   /// magnitude below the timeout) room to land first. Falls back to plain
   /// recv() when no injector is installed.
   MsgInfo recv_ft(int src, int tag, std::span<std::byte> dst);
+  /// Fault-tolerant sized receive: `dst` takes the message's length.
+  MsgInfo recv_ft(int src, int tag, std::vector<std::byte>& dst);
 
   /// ULFM shrink: survivor group over the currently-alive ranks, with
   /// crash-aware collectives (see mpi/ft.hpp). `epoch` namespaces the
@@ -184,6 +198,15 @@ class Comm {
 
   /// Applies the chaos straggler factor (1.0 on a fault-free machine).
   double scale_cpu(double seconds) const;
+
+  /// Posts a receive into `dst`, or into `*sized` (resized to the message)
+  /// when `sized` is set; recv_into and recv_ft_into wait for it.
+  Request post_recv(int src, int tag, std::span<std::byte> dst,
+                    std::vector<std::byte>* sized);
+  MsgInfo recv_into(int src, int tag, std::span<std::byte> dst,
+                    std::vector<std::byte>* sized);
+  MsgInfo recv_ft_into(int src, int tag, std::span<std::byte> dst,
+                       std::vector<std::byte>* sized);
 
   World* world_ = nullptr;
   int rank_ = -1;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -32,7 +33,14 @@ struct Msg {
   int tag = 0;
   std::uint64_t seq = 0;
   std::uint64_t stamp = 0;  ///< arrival order in the receiver's mailbox
-  std::vector<std::byte> payload;
+  /// The bytes to deliver. They stay in the sender's buffer, lent until
+  /// they are handed to a receive (MPI forbids touching a send buffer
+  /// before its request completes), and move into `owned` only when the
+  /// message must outlive the lend: an eager arrival that is queued instead
+  /// of matched (its send completes at arrival), an abandoned send, and
+  /// checker sessions, which copy at post.
+  std::span<const std::byte> payload;
+  std::vector<std::byte> owned;
   /// Large messages use a rendezvous protocol: only a request-to-send
   /// travels eagerly; the payload moves after the receive is matched
   /// (clear-to-send), and the sender's request completes with the payload.
@@ -46,6 +54,29 @@ struct Msg {
   /// Set when the chaos retransmit budget ran out: the message is delivered
   /// poisoned so both endpoints observe fault::Error instead of deadlocking.
   bool failed = false;
+
+  /// True while `payload` points into the sender's buffer.
+  bool lends() const {
+    return !payload.empty() && payload.data() != owned.data();
+  }
+  /// Copies a lent payload into `owned`; the sender may reuse its buffer
+  /// from here on.
+  void own() {
+    if (!lends()) return;
+    owned.assign(payload.begin(), payload.end());
+    payload = owned;
+  }
+  /// Eager arrivals that are queued (unexpected or held back for order)
+  /// own their bytes, since the eager send completes at arrival. A
+  /// rendezvous payload stays lent until its hand-off.
+  void queue() {
+    if (!rendezvous) own();
+  }
+  /// Drops the payload once it has been handed off or poisoned.
+  void release() {
+    payload = {};
+    std::vector<std::byte>().swap(owned);
+  }
 };
 
 struct PostedRecv {
@@ -53,6 +84,9 @@ struct PostedRecv {
   int tag = kAnyTag;
   std::uint64_t stamp = 0;  ///< post order in the receiver's mailbox
   std::span<std::byte> dst;
+  /// Set by the sized receives: the payload lands here, resized to the
+  /// message, and `dst` is unused.
+  std::vector<std::byte>* sized = nullptr;
   bool matched = false;
   bool failed = false;  ///< matched a poisoned message; wait() throws
   bool dead_peer = false;  ///< recv_ft declared the source process dead
@@ -80,6 +114,7 @@ struct PairChannel {
   void release_in_order(std::shared_ptr<Msg> msg, Release&& release) {
     if (msg->seq != next_deliver_seq) {
       if (msg->seq > next_deliver_seq) {
+        msg->queue();
         holdback.try_emplace(msg->seq, std::move(msg));
       }
       return;
@@ -129,7 +164,8 @@ struct World {
   /// Matches an in-order arrival at `dst` on its pair `ch`: removes and
   /// returns the earliest-posted receive matching it, from the pair queue or
   /// the wildcard queue. Without one, moves `msg` into the pair's
-  /// unexpected queue and returns nullptr.
+  /// unexpected queue (an eager `msg` takes its own copy of the payload
+  /// first) and returns nullptr.
   std::shared_ptr<PostedRecv> match_arrival(int dst, PairChannel& ch,
                                             std::shared_ptr<Msg>& msg);
 
@@ -160,7 +196,9 @@ struct World {
                        std::function<void()> on_failed);
 
   /// Completes a matched pair: eager messages copy out immediately;
-  /// rendezvous messages run CTS + payload transfer first.
+  /// rendezvous messages run CTS + payload transfer first. The hand-off is
+  /// the payload's one copy on the host, from the sender's buffer (or the
+  /// message's own copy) into the receive.
   void complete_match(int dst, std::shared_ptr<Msg> msg,
                       std::shared_ptr<PostedRecv> pr);
 

@@ -212,8 +212,10 @@ CollectiveStats CollectiveIo::read_all(mpi::Comm& comm, pfs::FileId file,
   }
 
   for (int k = 0; k < plan.n_iters; ++k) {
-    std::vector<mpi::Request> sends;
+    // Pending sends lend their buffers until they complete, so `packed` is
+    // declared first and outlives `sends`.
     std::vector<std::vector<std::byte>> packed;
+    std::vector<mpi::Request> sends;
     if (my_agg >= 0) {
       auto& is = stats.iters[static_cast<std::size_t>(k)];
       const pfs::ByteExtent c = reader.chunk();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "check/check.hpp"
 #include "fault/chaos.hpp"
@@ -85,17 +84,6 @@ std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
   pos += 8;
   return v;
 }
-
-// Receive scratch for peers' offset lists. A list's size is unknown a priori
-// and recv() enforces fit, so the scratch holds any realistic list (256k
-// extents). It is left uninitialized: each receive reads back only the bytes
-// it was sent, and pages no list reaches are never committed.
-struct ListScratch {
-  static constexpr std::size_t kBytes = 4 << 20;
-  std::unique_ptr<std::byte[]> mem =
-      std::make_unique_for_overwrite<std::byte[]>(kBytes);
-  std::span<std::byte> bytes() const { return {mem.get(), kBytes}; }
-};
 
 // The pieces of `req` inside [lo, hi), as a request of their own.
 FlatRequest clip(const FlatRequest& req, std::uint64_t lo, std::uint64_t hi) {
@@ -422,16 +410,17 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
   const int my_agg = plan.aggregator_index(comm.rank());
   if (my_agg >= 0) {
     plan.domain_requests.resize(static_cast<std::size_t>(nprocs));
-    // Receive every flagged rank's clipped list (deterministic rank order).
+    // Receive every flagged rank's clipped list (deterministic rank order)
+    // into a buffer sized by the message, so a list has no length cap.
     // recv_ft degrades to recv() without an injector and turns a
     // mid-exchange peer death into a structured fault instead of a hang.
-    const ListScratch scratch;
+    std::vector<std::byte> list;
     for (int r = 0; r < nprocs; ++r) {
       const std::size_t b = bit(r, static_cast<std::size_t>(my_agg));
       if (((senders[b / 64] >> (b % 64)) & 1) == 0) continue;
-      const auto info = comm.recv_ft(r, plan_tag(hints), scratch.bytes());
+      comm.recv_ft(r, plan_tag(hints), list);
       plan.domain_requests[static_cast<std::size_t>(r)] =
-          FlatRequest::deserialize(scratch.bytes().first(info.bytes));
+          FlatRequest::deserialize(list);
     }
   }
   mpi::wait_all(sends);
@@ -454,15 +443,15 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
         rsends.push_back(comm.isend(r, replica_tag(hints), wire));
       }
       plan.all_requests.resize(static_cast<std::size_t>(nprocs));
-      const ListScratch scratch;
+      std::vector<std::byte> list;
       for (int r = 0; r < nprocs; ++r) {
         if (r == comm.rank()) {
           plan.all_requests[static_cast<std::size_t>(r)] = mine;
           continue;
         }
-        const auto info = comm.recv_ft(r, replica_tag(hints), scratch.bytes());
+        comm.recv_ft(r, replica_tag(hints), list);
         plan.all_requests[static_cast<std::size_t>(r)] =
-            FlatRequest::deserialize(scratch.bytes().first(info.bytes));
+            FlatRequest::deserialize(list);
       }
       mpi::wait_all(rsends);
       mpi::ft::crash_point(comm, fault::Phase::plan_exchange);
@@ -539,11 +528,10 @@ std::vector<FlatRequest> replan_exchange(mpi::Comm& comm,
       survivors.end()) {
     const int nprocs = comm.size();
     absorbed.resize(static_cast<std::size_t>(nprocs));
-    const ListScratch scratch;
+    std::vector<std::byte> list;
     for (int r = 0; r < nprocs; ++r) {
-      const auto info = comm.recv(r, replan_tag(hints), scratch.bytes());
-      absorbed[static_cast<std::size_t>(r)] =
-          FlatRequest::deserialize(scratch.bytes().first(info.bytes));
+      comm.recv(r, replan_tag(hints), list);
+      absorbed[static_cast<std::size_t>(r)] = FlatRequest::deserialize(list);
     }
   }
   mpi::wait_all(sends);

@@ -2,9 +2,11 @@
 // simulated network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -333,6 +335,145 @@ TEST(Comm, RendezvousPreservesOrderingWithEager) {
     }
   });
   EXPECT_EQ(order, (std::vector<std::int32_t>{1, 2}));
+}
+
+// ---- lent send buffers and sized receives ----
+
+// `n` recognizable bytes; two seeds below 256 differ at every position.
+std::vector<std::byte> pattern(std::size_t n, int seed) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>((i * 7 + static_cast<std::size_t>(seed)) &
+                                  0xff);
+  }
+  return v;
+}
+
+TEST(Lending, UnexpectedEagerKeepsPostTimeBytes) {
+  // The eager send completes when its message arrives, before any receive
+  // is posted; the sender then overwrites its buffer and frees it.
+  Runtime rt(small_machine(), 2);
+  std::vector<std::byte> got(256);
+  rt.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<std::byte> v = pattern(256, 1);
+      Request s = c.isend(1, 3, v);
+      s.wait();
+      std::fill(v.begin(), v.end(), std::byte{0xff});
+    } else {
+      c.compute(0.5);  // the message arrives while we're busy
+      c.recv(0, 3, std::span<std::byte>(got));
+    }
+  });
+  EXPECT_EQ(got, pattern(256, 1));
+}
+
+TEST(Lending, DroppedSendRequestDeliversPostTimeBytes) {
+  // A request destroyed without a wait, its buffer then overwritten and
+  // freed: the message still delivers what was posted, eager or rendezvous.
+  Runtime rt(small_machine(), 2);
+  const std::size_t big = rt.config().eager_threshold * 2 + 3;
+  std::vector<std::byte> got_small(64);
+  std::vector<std::byte> got_big(big);
+  rt.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      auto small = std::make_unique<std::vector<std::byte>>(pattern(64, 2));
+      auto large = std::make_unique<std::vector<std::byte>>(pattern(big, 3));
+      c.isend(1, 4, *small);
+      c.isend(1, 5, *large);
+      std::fill(small->begin(), small->end(), std::byte{0xff});
+      std::fill(large->begin(), large->end(), std::byte{0xff});
+      small.reset();
+      large.reset();
+    } else {
+      c.compute(0.5);
+      c.recv(0, 4, std::span<std::byte>(got_small));
+      c.recv(0, 5, std::span<std::byte>(got_big));
+    }
+  });
+  EXPECT_EQ(got_small, pattern(64, 2));
+  EXPECT_EQ(got_big, pattern(big, 3));
+}
+
+TEST(Lending, CrashedSenderStillDeliversItsEagerSend) {
+  // Rank 1 posts an eager send and dies at a crash point while it is on
+  // the wire. Unwinding destroys the request (which copies the payload
+  // out), then a guard that scribbles over the buffer, then the buffer.
+  Runtime rt(small_machine(), 2);
+  fault::ChaosConfig cc;
+  fault::ChaosSchedule sched(cc, rt.n_nodes(), 2, 4);
+  sched.add_crash_point({fault::Phase::mid_map, 1, 1});
+  rt.install_chaos(std::move(sched));
+  std::vector<std::byte> got(128);
+  rt.run([&](Comm& c) {
+    if (c.rank() == 1) {
+      std::vector<std::byte> v = pattern(128, 4);
+      struct Scribble {
+        std::vector<std::byte>& v;
+        ~Scribble() { std::fill(v.begin(), v.end(), std::byte{0xff}); }
+      } scribble{v};
+      Request s = c.isend(0, 7, v);
+      ft::crash_point(c, fault::Phase::mid_map);  // dies here
+      FAIL() << "crash point did not fire";
+    }
+    c.recv_ft(1, 7, std::span<std::byte>(got));
+  });
+  EXPECT_EQ(got, pattern(128, 4));
+}
+
+TEST(SizedRecv, TakesTheMessageLength) {
+  // Eager and rendezvous payloads land in vectors that start too large and
+  // too small.
+  Runtime rt(small_machine(), 2);
+  const std::size_t big = rt.config().eager_threshold * 2 + 3;
+  std::vector<std::byte> got_small(1000, std::byte{0xee});
+  std::vector<std::byte> got_big(7);
+  MsgInfo small_info;
+  MsgInfo big_info;
+  rt.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      c.send(1, 1, pattern(100, 5));
+      c.send(1, 2, pattern(big, 6));
+    } else {
+      small_info = c.recv(0, 1, got_small);
+      big_info = c.recv(0, 2, got_big);
+    }
+  });
+  EXPECT_EQ(got_small, pattern(100, 5));
+  EXPECT_EQ(got_big, pattern(big, 6));
+  EXPECT_EQ(small_info.bytes, 100u);
+  EXPECT_EQ(big_info.bytes, big);
+}
+
+TEST(SizedRecv, RecvFtIntoVectorReportsDeadPeer) {
+  // Under an injector the sized recv_ft takes a live peer's message and
+  // still throws rank_failed for a dead one.
+  Runtime rt(small_machine(), 3);
+  fault::ChaosConfig cc;
+  fault::ChaosSchedule sched(cc, rt.n_nodes(), 3, 4);
+  sched.add_crash_point({fault::Phase::mid_map, 1, 1});
+  rt.install_chaos(std::move(sched));
+  std::vector<std::byte> got;
+  bool detected = false;
+  rt.run([&](Comm& c) {
+    if (c.rank() == 1) {
+      ft::crash_point(c, fault::Phase::mid_map);  // dies here
+      return;
+    }
+    if (c.rank() == 2) {
+      c.send(0, 7, pattern(40, 7));
+      return;
+    }
+    c.recv_ft(2, 7, got);
+    std::vector<std::byte> lost(3);
+    try {
+      c.recv_ft(1, 7, lost);
+    } catch (const fault::Error& e) {
+      detected = e.kind() == fault::Kind::rank_failed && e.rank() == 1;
+    }
+  });
+  EXPECT_EQ(got, pattern(40, 7));
+  EXPECT_TRUE(detected);
 }
 
 // ---- collectives, parameterized over world size ----

@@ -385,6 +385,14 @@ TEST(CollectiveRead, SingleRankWorld) {
   run_collective_read(1, 512, 2048, 16, h);
 }
 
+TEST(Plan, OffsetListsBeyondFourMiB) {
+  // Two ranks on one node, so one aggregator, and 300,000 interleaved 4-byte
+  // extents each: every offset list is 8 + 16 * 300,000 bytes, more than
+  // the 4 MiB a fixed-size list receive once held. The lists land in
+  // receives sized by the message.
+  run_collective_read(2, 4, 8, 300000, Hints{});
+}
+
 TEST(CollectiveRead, SomeRanksEmpty) {
   mpi::Runtime rt(small_machine(), 4);
   auto file = make_truth_file(rt.fs(), 1 << 20);
